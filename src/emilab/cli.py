@@ -18,9 +18,7 @@ from .harness import (
     build_case,
     parse_config,
     run_spectral_suite,
-    run_table_cells,
-    run_table_refinement,
-    run_table_tau,
+    run_table,
     solve_case,
 )
 from .meshgen import GeometryError, build_dofmap, build_mesh, label_model_a, label_model_b
@@ -160,12 +158,7 @@ def _cmd_spectra(args) -> int:
 def _cmd_table(args) -> int:
     solvers = tuple(args.solver.split(",")) if args.solver else ("cg",)
     spec = _spec_from_args(args, solvers=solvers)
-    runner = {
-        "refinement": run_table_refinement,
-        "tau": run_table_tau,
-        "cells": run_table_cells,
-    }[args.kind]
-    rows = runner(spec)
+    rows = run_table(spec, args.kind)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("\n".join(rows) + "\n")

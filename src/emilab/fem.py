@@ -57,12 +57,13 @@ class ProblemConfig:
     epsilon: float = 1e-4
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if np.any(np.asarray(self.sigma) <= 0):
-            raise ValueError("all conductivities must be positive")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (self.tau > 0) or not np.isfinite(self.tau):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        sigma = np.asarray(self.sigma, dtype=float)
+        if not np.all(sigma > 0) or not np.all(np.isfinite(sigma)):
+            raise ValueError("all conductivities must be positive and finite")
+        if not (self.epsilon > 0) or not np.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def tau_i(self, i: int) -> float:
         sigma = np.asarray(self.sigma)

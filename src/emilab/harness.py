@@ -1,11 +1,11 @@
 """Experiment driver: solver tables, spectral verification suite, CSV output.
 
-Each table run follows the same pipeline: build the mesh and partition,
-assemble operators, pin the nullspace, then time one solve per requested
-solver.  Rows carry the dof bookkeeping next to the iteration counts so a
-table is self-describing; failed runs are recorded in-row with -1 iterations
-and the run continues.  Reruns of the same spec are byte-identical except
-for the wall-time column.
+Each table run sweeps one axis (nh, tau or the cell count) through the same
+pipeline: build the mesh and partition, assemble operators, pin the
+nullspace, then time one solve per requested solver.  Rows carry the dof
+bookkeeping next to the iteration counts so a table is self-describing;
+failed runs are recorded in-row with -1 iterations and the run continues.
+Reruns of the same spec are byte-identical except for the wall-time column.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from . import io as eio
 from .fem import OperatorSet, ProblemConfig, assemble_operators
@@ -49,6 +48,7 @@ from .spectral import (
 )
 from .system import (
     BlockSystem,
+    block_diagonal,
     build_scaled,
     build_system,
     interface_basis,
@@ -62,9 +62,7 @@ __all__ = [
     "parse_config",
     "build_case",
     "solve_case",
-    "run_table_refinement",
-    "run_table_tau",
-    "run_table_cells",
+    "run_table",
     "run_spectral_suite",
 ]
 
@@ -85,7 +83,6 @@ class ExperimentSpec:
     eps: float = 1e-4
     tol: float = 1e-9
     maxiter: int = 20000
-    deterministic: bool = True  # provenance flag; every run is seed-free anyway
     outdir: str | None = None
 
     def __post_init__(self):
@@ -94,10 +91,14 @@ class ExperimentSpec:
         for solver in self.solvers:
             if solver not in SOLVER_NAMES:
                 raise ConfigError(f"unknown solver {solver!r}")
-        if any(t <= 0 for t in self.tau_list):
-            raise ConfigError("all tau values must be positive")
-        if self.eps <= 0 or self.tol <= 0 or self.maxiter <= 0:
-            raise ConfigError("eps, tol, maxiter must be positive")
+        if any(not (t > 0) or not np.isfinite(t) for t in self.tau_list):
+            raise ConfigError("all tau values must be positive and finite")
+        for name in ("eps", "tol"):
+            value = getattr(self, name)
+            if not (value > 0) or not np.isfinite(value):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.maxiter <= 0:
+            raise ConfigError("maxiter must be positive")
         for nh in self.nh_list:
             for n_cells in self.cells_list:
                 check_compatible(self.model, int(nh), int(n_cells))
@@ -133,8 +134,6 @@ def _parse_value(key: str, raw: str):
         return float(raw)
     if key == "maxiter":
         return int(raw)
-    if key == "deterministic":
-        return raw.lower() in ("1", "true", "yes")
     return raw
 
 
@@ -149,7 +148,6 @@ def parse_config(path) -> ExperimentSpec:
         "eps": "eps",
         "tol": "tol",
         "maxiter": "maxiter",
-        "deterministic": "deterministic",
         "outdir": "outdir",
     }
     kwargs = {}
@@ -182,14 +180,18 @@ class Case:
     unpinned: BlockSystem
 
 
-def build_case(model: str, nh: int, n_cells: int, tau: float, eps: float = 1e-4) -> Case:
+def _build_geometry(model: str, nh: int, n_cells: int):
     mesh = build_mesh(nh)
     labeling = label_model_a(mesh, n_cells) if model == "A" else label_model_b(mesh, n_cells)
-    dofmap = build_dofmap(mesh, labeling)
+    return mesh, labeling, build_dofmap(mesh, labeling)
+
+
+def build_case(model: str, nh: int, n_cells: int, tau: float, eps: float = 1e-4) -> Case:
+    mesh, labeling, dofmap = _build_geometry(model, nh, n_cells)
     config = ProblemConfig(tau=tau, epsilon=eps)
     operators = assemble_operators(mesh, labeling, dofmap, config)
     unpinned = build_system(operators)
-    pinned = pin_nullspace(unpinned, mesh=mesh)
+    pinned = pin_nullspace(unpinned)
     return Case(mesh, labeling, dofmap, operators, pinned, unpinned)
 
 
@@ -242,85 +244,54 @@ def solve_case(case: Case, solver: str, tol: float, maxiter: int, eps: float):
     return report, time.perf_counter() - t0
 
 
-def _result_row(spec, case: Case, nh, n_cells, tau, solver) -> str:
-    dofmap = case.dofmap
-    if solver == "geometry":
-        return eio.format_result_row(
-            spec.model, n_cells, nh, tau, spec.eps, solver,
-            0, 0.0, 0.0, dofmap.n, dofmap.n0, dofmap.n_gamma,
-        )
-    try:
-        report, seconds = solve_case(case, solver, spec.tol, spec.maxiter, spec.eps)
-        iterations = report.iterations if report.converged else -1
-        relres = report.final_rel_residual
-    except Exception:
-        iterations, relres, seconds = -1, float("nan"), 0.0
+def _result_row(spec, case: Case | None, dofmap: DofMap, nh, n_cells, tau, solver) -> str:
+    iterations, relres, seconds = 0, 0.0, 0.0  # a geometry row carries dofs only
+    if solver != "geometry":
+        try:
+            report, seconds = solve_case(case, solver, spec.tol, spec.maxiter, spec.eps)
+            iterations = report.iterations if report.converged else -1
+            relres = report.final_rel_residual
+        except Exception:
+            iterations, relres, seconds = -1, float("nan"), 0.0
     return eio.format_result_row(
         spec.model, n_cells, nh, tau, spec.eps, solver,
         iterations, relres, seconds, dofmap.n, dofmap.n0, dofmap.n_gamma,
     )
 
 
-def _write_rows(rows: list, spec: ExperimentSpec, name: str) -> list:
+_TABLE_AXES = {"refinement": "nh_list", "tau": "tau_list", "cells": "cells_list"}
+
+
+def run_table(spec: ExperimentSpec, kind: str) -> list:
+    """One row per (value, solver) along the axis named by ``kind``.
+
+    ``refinement`` varies nh, ``tau`` the time constant (model A only) and
+    ``cells`` the cell count; the other two values are the first of their
+    lists.  A run whose solvers are all ``geometry`` builds only the dof map.
+    With ``spec.outdir`` the rows are also written to ``table_<kind>.csv``.
+    """
+    if kind not in _TABLE_AXES:
+        raise ConfigError(f"unknown table kind {kind!r}")
+    if kind == "tau" and spec.model != "A":
+        raise ConfigError("the time-step table is defined for model A")
+    geometry_only = all(solver == "geometry" for solver in spec.solvers)
+    rows = [eio.CSV_HEADER]
+    for value in getattr(spec, _TABLE_AXES[kind]):
+        nh = int(value if kind == "refinement" else spec.nh_list[0])
+        n_cells = int(value if kind == "cells" else spec.cells_list[0])
+        tau = float(value if kind == "tau" else spec.tau_list[0])
+        if geometry_only:
+            case, dofmap = None, _build_geometry(spec.model, nh, n_cells)[2]
+        else:
+            case = build_case(spec.model, nh, n_cells, tau, spec.eps)
+            dofmap = case.dofmap
+        for solver in spec.solvers:
+            rows.append(_result_row(spec, case, dofmap, nh, n_cells, tau, solver))
     if spec.outdir:
         outdir = Path(spec.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / name).write_text("\n".join(rows) + "\n")
+        (outdir / f"table_{kind}.csv").write_text("\n".join(rows) + "\n")
     return rows
-
-
-def run_table_refinement(spec: ExperimentSpec) -> list:
-    """One row per (solver, nh) at fixed cell count (the first in the list)."""
-    rows = [eio.CSV_HEADER]
-    n_cells = int(spec.cells_list[0])
-    tau = float(spec.tau_list[0])
-    for nh in spec.nh_list:
-        case = build_case(spec.model, int(nh), n_cells, tau, spec.eps)
-        for solver in spec.solvers:
-            rows.append(_result_row(spec, case, int(nh), n_cells, tau, solver))
-    return _write_rows(rows, spec, "table_refinement.csv")
-
-
-def run_table_tau(spec: ExperimentSpec) -> list:
-    """One row per (solver, tau) at fixed nh and cell count; model A only."""
-    if spec.model != "A":
-        raise ConfigError("the time-step table is defined for model A")
-    rows = [eio.CSV_HEADER]
-    nh = int(spec.nh_list[0])
-    n_cells = int(spec.cells_list[0])
-    for tau in spec.tau_list:
-        case = build_case(spec.model, nh, n_cells, float(tau), spec.eps)
-        for solver in spec.solvers:
-            rows.append(_result_row(spec, case, nh, n_cells, float(tau), solver))
-    return _write_rows(rows, spec, "table_tau.csv")
-
-
-def run_table_cells(spec: ExperimentSpec) -> list:
-    """One row per (solver, N) at fixed nh; use solver 'geometry' for dof-only rows."""
-    rows = [eio.CSV_HEADER]
-    nh = int(spec.nh_list[0])
-    tau = float(spec.tau_list[0])
-    for n_cells in spec.cells_list:
-        if spec.solvers == ("geometry",):
-            # dof bookkeeping only: skip assembly entirely
-            mesh = build_mesh(nh)
-            labeling = (
-                label_model_a(mesh, int(n_cells))
-                if spec.model == "A"
-                else label_model_b(mesh, int(n_cells))
-            )
-            dofmap = build_dofmap(mesh, labeling)
-            rows.append(
-                eio.format_result_row(
-                    spec.model, int(n_cells), nh, tau, spec.eps, "geometry",
-                    0, 0.0, 0.0, dofmap.n, dofmap.n0, dofmap.n_gamma,
-                )
-            )
-            continue
-        case = build_case(spec.model, nh, int(n_cells), tau, spec.eps)
-        for solver in spec.solvers:
-            rows.append(_result_row(spec, case, nh, int(n_cells), tau, solver))
-    return _write_rows(rows, spec, "table_cells.csv")
 
 
 def run_spectral_suite(spec: ExperimentSpec, samples_per_axis: int = 128) -> dict:
@@ -357,7 +328,7 @@ def run_spectral_suite(spec: ExperimentSpec, samples_per_axis: int = 128) -> dic
         )
 
         def offdiag_stats():
-            offdiag = system.matrix - _block_diagonal_part(system)
+            offdiag = system.matrix - block_diagonal(system)
             delta = 1e-10 * float(np.abs(system.matrix).sum(axis=1).max())
             off_eigs = eig_rearranged(offdiag)
             frac = float(np.count_nonzero(np.abs(off_eigs) > delta)) / n
@@ -404,15 +375,3 @@ def run_spectral_suite(spec: ExperimentSpec, samples_per_axis: int = 128) -> dic
         (outdir / "spectra_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return results
 
-
-def _block_diagonal_part(system: BlockSystem):
-    rows, cols, vals = [], [], []
-    for start, length in system.block_ranges:
-        blk = system.matrix[start : start + length, start : start + length].tocoo()
-        rows.append(blk.row + start)
-        cols.append(blk.col + start)
-        vals.append(blk.data)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=system.matrix.shape,
-    ).tocsr()

@@ -43,8 +43,8 @@ class SolverConfig:
     maxiter: int = 20000
 
     def __post_init__(self):
-        if self.tol <= 0 or self.maxiter <= 0:
-            raise ValueError("tol and maxiter must be positive")
+        if not (self.tol > 0) or not np.isfinite(self.tol) or self.maxiter <= 0:
+            raise ValueError("tol must be positive and finite, maxiter positive")
 
 
 @dataclass
@@ -64,8 +64,9 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
     Convergence is declared on the true relative residual: once the recursive
     residual passes the tolerance it is verified against b - A x and iteration
     continues (with a residual replacement) if round-off drift left the true
-    residual above it.  Nonpositive curvature stops the iteration with the
-    breakdown flag set, signalling indefiniteness or nullspace contamination.
+    residual above it.  Nonpositive or non-finite curvature stops the iteration
+    with the breakdown flag set, signalling indefiniteness, nullspace
+    contamination or non-finite input.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -86,7 +87,7 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
         it += 1
         Ap = A @ p
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        if not pAp > 0.0:
             rel = float(np.linalg.norm(b - A @ x) / norm_b)
             return x, SolveReport(
                 it, rel, time.perf_counter() - t0, history, False,
@@ -196,7 +197,7 @@ def ilu0_factor(A, max_shift_tries: int = 6) -> ILU0Preconditioner:
 
 @dataclass
 class BlockDiagPreconditioner:
-    """Exact solve of tau * (A_i + eps * Mtilde_i) per subdomain block."""
+    """Exact solve of tau_i * (A_i + eps * Mtilde_i) per subdomain block."""
 
     matrix: sp.csr_matrix
     eps: float
@@ -206,30 +207,26 @@ class BlockDiagPreconditioner:
         return self._lu.solve(r)
 
 
-def blockdiag_prec(operators, config=None, eps: float | None = None) -> BlockDiagPreconditioner:
-    """Block-diagonal preconditioner from bulk stiffness plus scaled bulk mass.
+def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPreconditioner:
+    """Block-diagonal preconditioner tau_i * (A_i + eps * Mtilde_i).
 
     The bulk mass is the full-rank regularization of each Neumann stiffness
     block; the assembled block-diagonal matrix is SPD for any positive eps
-    and factorized once.
+    and factorized once.  The blocks are placed unscaled and every stored
+    entry is then multiplied once by the tau_i of its row.
     """
-    config = config if config is not None else operators.config
+    config = operators.config
     eps = float(config.epsilon if eps is None else eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     dofmap = operators.dofmap
-    starts = dofmap.block_start
-    rows, cols, vals = [], [], []
-    for i in range(dofmap.n_subdomains):
-        blk = (operators.stiffness[i] + eps * operators.bulk_mass[i]).tocoo()
-        rows.append(blk.row + starts[i])
-        cols.append(blk.col + starts[i])
-        vals.append(config.tau * blk.data)
-    n = dofmap.n
-    P = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    n_sub = dofmap.n_subdomains
+    P = sp.block_diag(
+        [operators.stiffness[i] + eps * operators.bulk_mass[i] for i in range(n_sub)],
+        format="csr",
+    )
+    row_tau = np.repeat([config.tau_i(i) for i in range(n_sub)], dofmap.block_sizes)
+    P.data *= np.repeat(row_tau, np.diff(P.indptr))
     try:
         lu = splu(P.tocsc())
     except RuntimeError as exc:

@@ -29,6 +29,7 @@ __all__ = [
     "ArrowheadFactors",
     "ScaledSystem",
     "build_system",
+    "block_diagonal",
     "pin_nullspace",
     "build_arrowhead_factors",
     "solve_smw_eps",
@@ -98,14 +99,9 @@ class ScaledSystem:
     scale_factors: np.ndarray  # per-block multipliers
 
 
-def build_system(
-    operators: OperatorSet,
-    config: ProblemConfig | None = None,
-    model: str | None = None,
-) -> BlockSystem:
+def build_system(operators: OperatorSet) -> BlockSystem:
     """Assemble the global symmetric matrix and right-hand side from blocks."""
-    config = config if config is not None else operators.config
-    model = model if model is not None else operators.model
+    config = operators.config
     dofmap = operators.dofmap
     sizes = dofmap.block_sizes
     n_sub = dofmap.n_subdomains
@@ -143,12 +139,18 @@ def build_system(
         rhs=rhs,
         block_ranges=ranges,
         config=config,
-        model=model,
+        model=operators.model,
         dofmap=dofmap,
     )
 
 
-def pin_nullspace(system: BlockSystem, mesh=None, probe: bool = False) -> BlockSystem:
+def block_diagonal(system: BlockSystem) -> sp.csr_matrix:
+    """The diagonal blocks of the global matrix, placed on its diagonal."""
+    n_sub = len(system.block_ranges)
+    return sp.block_diag([system.block(i, i) for i in range(n_sub)], format="csr")
+
+
+def pin_nullspace(system: BlockSystem, probe: bool = False) -> BlockSystem:
     """Fix the additive constant by a point condition in the extracellular block.
 
     The dof of subdomain 0 nearest the origin has its row and column replaced
@@ -158,13 +160,8 @@ def pin_nullspace(system: BlockSystem, mesh=None, probe: bool = False) -> BlockS
     """
     dofmap = system.dofmap
     s0, l0 = system.block_ranges[0]
-    if mesh is not None:
-        coords = mesh.vertices[dofmap.vertex[s0 : s0 + l0]]
-        local = int(np.argmin(coords[:, 0] ** 2 + coords[:, 1] ** 2))
-    else:
-        # vertex ids increase with y then x, so the smallest id is nearest (0,0)
-        local = int(np.argmin(dofmap.vertex[s0 : s0 + l0]))
-    pinned = s0 + local
+    # vertex ids increase with y then x, so the smallest id is nearest (0,0)
+    pinned = s0 + int(np.argmin(dofmap.vertex[s0 : s0 + l0]))
 
     coo = system.matrix.tocoo()
     keep = (coo.row != pinned) & (coo.col != pinned)
@@ -217,19 +214,7 @@ def build_arrowhead_factors(system: BlockSystem) -> ArrowheadFactors:
     n_sub = len(system.block_ranges)
     n_cells = n_sub - 1
     s0, n0 = system.block_ranges[0]
-
-    diag_blocks = []
-    rows, cols, vals = [], [], []
-    for i, (si, li) in enumerate(system.block_ranges):
-        blk = system.matrix[si : si + li, si : si + li].tocoo()
-        diag_blocks.append(blk)
-        rows.append(blk.row + si)
-        cols.append(blk.col + si)
-        vals.append(blk.data)
-    base = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    base = block_diagonal(system)
 
     # outer = [[I, 0], [0, B_i^T]],  inner = [[0, B_1 .. B_N], [I, 0 .. 0]]
     o_rows, o_cols, o_vals = [np.arange(n0)], [np.arange(n0)], [np.ones(n0)]
@@ -401,9 +386,7 @@ def build_scaled(
         scale_factors = np.asarray(scale_factors, dtype=float)
         if scale_factors.shape != (n_sub,):
             raise ValueError("need one scale factor per subdomain block")
-    per_dof = np.empty(system.n)
-    for i, (si, li) in enumerate(system.block_ranges):
-        per_dof[si : si + li] = scale_factors[i]
+    per_dof = np.repeat(scale_factors, [li for _, li in system.block_ranges])
     coo = system.matrix.tocoo()
     data = coo.data * (per_dof[coo.row] * per_dof[coo.col])
     matrix = sp.coo_matrix((data, (coo.row, coo.col)), shape=coo.shape).tocsr()

@@ -10,9 +10,8 @@ import scipy.linalg as la
 
 from emilab.harness import (
     ExperimentSpec,
-    _block_diagonal_part,
     build_case,
-    run_table_refinement,
+    run_table,
     solve_case,
 )
 from emilab.meshgen import build_dofmap, build_mesh, label_model_a
@@ -32,6 +31,7 @@ from emilab.spectral import (
     toeplitz_from_symbol,
 )
 from emilab.system import (
+    block_diagonal,
     build_arrowhead_factors,
     build_scaled,
     solve_direct,
@@ -218,7 +218,7 @@ def test_criterion_8_spectral_distribution_suite():
         eigs = eig_rearranged(build_scaled(system).matrix)
         scaled_dist.append(distribution_distance(eigs, symbol).quantile_distance)
 
-        offdiag = system.matrix - _block_diagonal_part(system)
+        offdiag = system.matrix - block_diagonal(system)
         delta = 1e-10 * np.abs(system.matrix).sum(axis=1).max()
         off_eigs = eig_rearranged(offdiag)
         frac = np.count_nonzero(np.abs(off_eigs) > delta) / system.n
@@ -260,8 +260,8 @@ def test_criterion_9_determinism():
             out.append(",".join(cells))
         return out
 
-    rows1 = run_table_refinement(spec)
-    rows2 = run_table_refinement(spec)
+    rows1 = run_table(spec, "refinement")
+    rows2 = run_table(spec, "refinement")
     ok = stripped(rows1) == stripped(rows2)
     print(f"ACCEPTANCE 9 (determinism across reruns): {_verdict(ok)}")
     assert ok

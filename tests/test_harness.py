@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from emilab.cli import main
+from emilab.fem import ProblemConfig
 from emilab.harness import (
     ConfigError,
     ExperimentSpec,
     build_case,
     parse_config,
     run_spectral_suite,
-    run_table_cells,
-    run_table_refinement,
-    run_table_tau,
+    run_table,
 )
 from emilab.io import CSV_HEADER, read_matrix_market, read_vector
 from emilab.meshgen import build_dofmap, build_mesh, label_model_a
+from emilab.solvers import SolverConfig
 
 
 def _strip_seconds(rows):
@@ -72,10 +72,29 @@ def test_spec_validates_compatibility():
         ExperimentSpec(tau_list=(0.0,))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: ProblemConfig(tau=v),
+        lambda v: ProblemConfig(epsilon=v),
+        lambda v: ProblemConfig(sigma=[1.0, v]),
+        lambda v: SolverConfig(tol=v),
+        lambda v: ExperimentSpec(tau_list=(0.01, v)),
+        lambda v: ExperimentSpec(eps=v),
+        lambda v: ExperimentSpec(tol=v),
+    ],
+    ids=["tau", "epsilon", "sigma", "solver-tol", "tau_list", "spec-eps", "spec-tol"],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_configs_reject_non_finite(make, value):
+    with pytest.raises(ValueError):
+        make(value)
+
+
 def test_refinement_table_deterministic():
     spec = ExperimentSpec(model="A", nh_list=(8, 16), cells_list=(1,), solvers=("cg",))
-    rows1 = run_table_refinement(spec)
-    rows2 = run_table_refinement(spec)
+    rows1 = run_table(spec, "refinement")
+    rows2 = run_table(spec, "refinement")
     assert rows1[0] == CSV_HEADER
     assert len(rows1) == 3
     assert _strip_seconds(rows1) == _strip_seconds(rows2)
@@ -83,7 +102,7 @@ def test_refinement_table_deterministic():
 
 def test_table_rows_match_independent_dof_recount():
     spec = ExperimentSpec(model="A", nh_list=(16,), cells_list=(1,), solvers=("cg",))
-    rows = run_table_refinement(spec)
+    rows = run_table(spec, "refinement")
     cells = rows[1].split(",")
     n, n0, n_gamma = int(cells[9]), int(cells[10]), int(cells[11])
     mesh = build_mesh(16)
@@ -94,7 +113,7 @@ def test_table_rows_match_independent_dof_recount():
 
 def test_empty_solver_list_gives_header_only():
     spec = ExperimentSpec(model="A", nh_list=(8,), cells_list=(1,), solvers=())
-    rows = run_table_refinement(spec)
+    rows = run_table(spec, "refinement")
     assert rows == [CSV_HEADER]
 
 
@@ -102,7 +121,7 @@ def test_tau_table_single_value():
     spec = ExperimentSpec(
         model="A", nh_list=(16,), cells_list=(1,), tau_list=(0.05,), solvers=("cg", "amg")
     )
-    rows = run_table_tau(spec)
+    rows = run_table(spec, "tau")
     assert len(rows) == 3
     assert all(",0.05," in row for row in rows[1:])
 
@@ -110,7 +129,7 @@ def test_tau_table_single_value():
 def test_tau_table_rejects_model_b():
     spec = ExperimentSpec(model="B", nh_list=(16,), cells_list=(1,), solvers=("cg",))
     with pytest.raises(ConfigError):
-        run_table_tau(spec)
+        run_table(spec, "tau")
 
 
 def test_cells_table_geometry_only_densest_case():
@@ -118,7 +137,7 @@ def test_cells_table_geometry_only_densest_case():
     spec = ExperimentSpec(
         model="A", nh_list=(1024,), cells_list=(116281,), solvers=("geometry",)
     )
-    rows = run_table_cells(spec)
+    rows = run_table(spec, "cells")
     cells = rows[1].split(",")
     n, n_gamma = int(cells[9]), int(cells[11])
     assert round(n_gamma / n, 3) == 0.470
@@ -128,7 +147,7 @@ def test_cells_table_multiple_counts():
     spec = ExperimentSpec(
         model="A", nh_list=(32,), cells_list=(1, 25), solvers=("cg",)
     )
-    rows = run_table_cells(spec)
+    rows = run_table(spec, "cells")
     assert len(rows) == 3
     assert rows[1].split(",")[1] == "1"
     assert rows[2].split(",")[1] == "25"
@@ -138,7 +157,7 @@ def test_failed_run_recorded_in_row():
     spec = ExperimentSpec(
         model="A", nh_list=(16,), cells_list=(1,), solvers=("cg",), maxiter=2
     )
-    rows = run_table_refinement(spec)
+    rows = run_table(spec, "refinement")
     cells = rows[1].split(",")
     assert cells[6] == "-1"  # not converged within two iterations
 
@@ -229,6 +248,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense=1\n")
     code = main(["table", "--kind", "refinement", "--config", str(cfg)])
+    assert code == 2
+
+
+def test_cli_non_finite_tau_exit_code(capsys):
+    code = main(["solve", "--model", "A", "--nh", "8", "--cells", "1", "--tau", "nan"])
     assert code == 2
 
 

@@ -41,7 +41,7 @@ def _emi_case(nh, n_cells, tau=0.01):
     labeling = label_model_a(mesh, n_cells)
     dofmap = build_dofmap(mesh, labeling)
     ops = assemble_operators(mesh, labeling, dofmap, ProblemConfig(tau=tau))
-    return pin_nullspace(build_system(ops), mesh=mesh), ops
+    return pin_nullspace(build_system(ops)), ops
 
 
 def test_cg_identity_one_iteration():
@@ -107,6 +107,16 @@ def test_cg_deterministic():
     _, r2 = cg_solve(A, b)
     assert r1.iterations == r2.iterations
     assert r1.residual_history == r2.residual_history
+
+
+def test_cg_nan_rhs_breaks_down_at_first_iteration():
+    A = dirichlet_laplacian_2d(4)
+    b = np.ones(A.shape[0])
+    b[3] = np.nan
+    _, report = cg_solve(A, b, SolverConfig(maxiter=300))
+    assert report.breakdown
+    assert report.iterations == 1
+    assert not report.converged
 
 
 def test_solver_config_validation():
@@ -209,6 +219,18 @@ def test_blockdiag_large_eps_stays_spd():
     for _ in range(5):
         v = rng.standard_normal(system.n)
         assert v @ prec(v) > 0.0
+
+
+def test_blockdiag_scales_each_block_by_its_tau_i():
+    mesh = build_mesh(16)
+    labeling = label_model_a(mesh, 1)
+    dofmap = build_dofmap(mesh, labeling)
+    config = ProblemConfig(tau=0.01, sigma=[1.0, 3.0])
+    ops = assemble_operators(mesh, labeling, dofmap, config)
+    prec = blockdiag_prec(ops, eps=1e-4)
+    s1, e1 = dofmap.block_range(1)
+    expected = (3.0 * 0.01) * (ops.stiffness[1] + 1e-4 * ops.bulk_mass[1])
+    assert np.array_equal(prec.matrix[s1:e1, s1:e1].toarray(), expected.toarray())
 
 
 def test_blockdiag_rejects_nonpositive_eps():

@@ -19,8 +19,7 @@ from emilab.spectral import (
     p1_laplacian_symbol,
     toeplitz_from_symbol,
 )
-from emilab.system import build_scaled, build_system
-from emilab.harness import _block_diagonal_part
+from emilab.system import block_diagonal, build_scaled, build_system
 
 
 def test_toeplitz_1d_tridiagonal():
@@ -169,7 +168,7 @@ def _model_a_system(nh, n_cells=1, tau=0.01):
 def test_offdiagonal_part_is_low_rank():
     """The coupling part has at least n - 2*n_gamma zero eigenvalues."""
     system, _ = _model_a_system(16)
-    offdiag = system.matrix - _block_diagonal_part(system)
+    offdiag = system.matrix - block_diagonal(system)
     eigs = eig_rearranged(offdiag)
     norm = np.abs(system.matrix).sum(axis=1).max()
     n_zero = int(np.count_nonzero(np.abs(eigs) <= 1e-10 * norm))

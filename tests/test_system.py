@@ -9,6 +9,7 @@ from emilab.meshgen import build_dofmap, build_mesh, label_model_a, label_model_
 from emilab.system import (
     ArrowheadError,
     SmwError,
+    block_diagonal,
     build_arrowhead_factors,
     build_scaled,
     build_system,
@@ -27,7 +28,7 @@ def _system(model, nh, n_cells, tau=0.01, pin=False):
     ops = assemble_operators(mesh, labeling, dofmap, ProblemConfig(tau=tau))
     system = build_system(ops)
     if pin:
-        return pin_nullspace(system, mesh=mesh), ops, mesh
+        return pin_nullspace(system), ops, mesh
     return system, ops, mesh
 
 
@@ -45,6 +46,19 @@ def test_model_a_blocks_are_arrowhead():
     for i in range(1, 6):
         for j in range(i + 1, 6):
             assert system.block(i, j).nnz == 0
+
+
+def test_block_diagonal_model_b_gap_junctions():
+    system, _, _ = _system("B", 16, 4)
+    diag = block_diagonal(system)
+    for i, (s, length) in enumerate(system.block_ranges):
+        got, want = diag[s : s + length, s : s + length], system.block(i, i)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    rest = (system.matrix - diag).tocsr()
+    for s, length in system.block_ranges:
+        assert rest[s : s + length, s : s + length].nnz == 0
+    assert rest.nnz > 0
 
 
 def test_dimension_mismatch_rejected():
@@ -115,7 +129,7 @@ def test_pinned_zero_rhs_gives_zero():
 
 def test_pin_probe_reports_nonsingular():
     system, ops, mesh = _system("A", 8, 1)
-    pinned = pin_nullspace(system, mesh=mesh, probe=True)
+    pinned = pin_nullspace(system, probe=True)
     assert pinned.pinned_dof is not None
 
 
