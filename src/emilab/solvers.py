@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve_triangular
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "AmgError",
@@ -124,6 +124,20 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
 # ILU(0)
 
 
+def _triangle_factor(T: sp.spmatrix):
+    """SuperLU factor of a sparse triangle: natural order, diagonal pivots.
+
+    A triangle needs no elimination, so the factor adds no fill (a lower T
+    becomes unit-lower times its diagonal, an upper T identity times itself)
+    and ``.solve`` is one forward and one backward substitution.  Single-column
+    supernodes and panels keep the factorization's workspace small.
+    """
+    return splu(
+        sp.csc_matrix(T), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        relax=1, panel_size=1,
+    )
+
+
 @dataclass
 class ILU0Preconditioner:
     """Zero fill-in incomplete LU; application is two triangular sweeps."""
@@ -131,39 +145,61 @@ class ILU0Preconditioner:
     lower: sp.csr_matrix  # unit lower triangular
     upper: sp.csr_matrix
     shift: float = 0.0  # diagonal shift applied on pivot breakdown
+    _lower_lu: object = field(init=False, repr=False)
+    _upper_lu: object = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._lower_lu = _triangle_factor(self.lower)
+        self._upper_lu = _triangle_factor(self.upper)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        y = spsolve_triangular(self.lower, r, lower=True, unit_diagonal=True)
-        return spsolve_triangular(self.upper, y, lower=False)
+        return self._upper_lu.solve(self._lower_lu.solve(r))
+
+
+def _diagonal_positions(A: sp.csr_matrix) -> np.ndarray:
+    """Position in ``A.data`` of each row's diagonal; indices sorted per row."""
+    n = A.shape[0]
+    indptr, indices = A.indptr, A.indices
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    below = np.concatenate([[0], np.cumsum(indices < rows)])
+    pos = indptr[:-1] + (below[indptr[1:]] - below[indptr[:-1]])
+    ok = pos < indptr[1:]
+    ok[ok] = indices[pos[ok]] == np.flatnonzero(ok)
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        raise ValueError(f"matrix lacks a stored diagonal entry in row {i}")
+    return pos
 
 
 def _ilu0_sweep(A: sp.csr_matrix) -> tuple[np.ndarray, float]:
-    """In-place IKJ elimination on a CSR copy; returns (data, min |pivot|)."""
-    indptr, indices, data = A.indptr, A.indices, A.data
-    n = A.shape[0]
-    diag_pos = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        row = indices[indptr[i] : indptr[i + 1]]
-        k = np.searchsorted(row, i)
-        if k >= len(row) or row[k] != i:
-            raise ValueError(f"matrix lacks a stored diagonal entry in row {i}")
-        diag_pos[i] = indptr[i] + k
+    """In-place IKJ elimination on a CSR copy; returns (data, min |pivot|).
+
+    The loops index memoryviews of the CSR arrays, which yield Python ints
+    and floats; the arithmetic is the same IEEE double arithmetic.  The sweep
+    stops at an exactly zero pivot, since min |pivot| is then 0 whatever follows.
+    """
+    data = A.data
+    diag = memoryview(_diagonal_positions(A))
+    indptr, indices, vals = memoryview(A.indptr), memoryview(A.indices), memoryview(data)
     min_piv = np.inf
-    for i in range(n):
+    for i in range(A.shape[0]):
         s, e = indptr[i], indptr[i + 1]
-        row_map = {c: s + j for j, c in enumerate(indices[s:e])}
+        row_map = {indices[t]: t for t in range(s, e)}
         for jj in range(s, e):
             k = indices[jj]
             if k >= i:
                 break
-            piv = data[diag_pos[k]]
-            lik = data[jj] / piv
-            data[jj] = lik
-            for pp in range(diag_pos[k] + 1, indptr[k + 1]):
+            dk = diag[k]
+            lik = vals[jj] / vals[dk]
+            vals[jj] = lik
+            for pp in range(dk + 1, indptr[k + 1]):
                 t = row_map.get(indices[pp])
                 if t is not None:
-                    data[t] -= lik * data[pp]
-        min_piv = min(min_piv, abs(data[diag_pos[i]]))
+                    vals[t] -= lik * vals[pp]
+        piv = abs(vals[diag[i]])
+        if piv == 0.0:
+            return data, 0.0  # a later row would divide by it; the caller shifts
+        min_piv = min(min_piv, piv)
     return data, min_piv
 
 
@@ -174,7 +210,7 @@ def ilu0_factor(A, max_shift_tries: int = 6) -> ILU0Preconditioner:
     diagonal shift, escalating until the pivots are safe; the shift actually
     used is recorded on the returned preconditioner.
     """
-    A = sp.csr_matrix(A).copy()
+    A = sp.csr_matrix(A, dtype=float).copy()
     A.sort_indices()
     scale = float(np.abs(A.data).max()) if A.nnz else 1.0
     piv_tol = 1e-12 * scale
@@ -217,8 +253,8 @@ def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPrecondition
     """
     config = operators.config
     eps = float(config.epsilon if eps is None else eps)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (eps > 0) or not np.isfinite(eps):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     dofmap = operators.dofmap
     n_sub = dofmap.n_subdomains
     P = sp.block_diag(
@@ -244,6 +280,12 @@ class AmgLevel:
     lower: sp.csr_matrix  # tril(A), for the forward Gauss-Seidel sweep
     upper: sp.csr_matrix  # triu(A), for the backward sweep
     prolong: sp.csr_matrix  # maps the next-coarser level into this one
+    _lower_lu: object = field(init=False, repr=False)
+    _upper_lu: object = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._lower_lu = _triangle_factor(self.lower)
+        self._upper_lu = _triangle_factor(self.upper)
 
 
 @dataclass
@@ -270,31 +312,39 @@ def _strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
 
 
 def _aggregate(S: sp.csr_matrix) -> tuple[np.ndarray, int]:
-    """Greedy aggregation over the strength graph, deterministic in row order."""
+    """Greedy aggregation over the strength graph, deterministic in row order.
+
+    A row whose strong neighbours are all unassigned seeds an aggregate with
+    them; a leftover row joins the aggregate of its strongest assigned
+    neighbour (the first one on ties), or becomes a singleton.
+    """
     n = S.shape[0]
     agg = np.full(n, -1, dtype=np.int64)
-    indptr, indices, data = S.indptr, S.indices, S.data
+    indptr, indices, vals, ag = (
+        memoryview(S.indptr), memoryview(S.indices), memoryview(S.data), memoryview(agg)
+    )
     next_id = 0
     for i in range(n):
-        if agg[i] != -1:
+        if ag[i] != -1:
             continue
-        nbrs = indices[indptr[i] : indptr[i + 1]]
-        if len(nbrs) == 0 or np.all(agg[nbrs] == -1):
-            agg[i] = next_id
-            agg[nbrs] = next_id
+        nbrs = range(indptr[i], indptr[i + 1])
+        if all(ag[indices[t]] == -1 for t in nbrs):
+            ag[i] = next_id
+            for t in nbrs:
+                ag[indices[t]] = next_id
             next_id += 1
     for i in range(n):
-        if agg[i] != -1:
+        if ag[i] != -1:
             continue
-        nbrs = indices[indptr[i] : indptr[i + 1]]
-        vals = data[indptr[i] : indptr[i + 1]]
-        assigned = agg[nbrs] != -1
-        if np.any(assigned):
-            cand = nbrs[assigned]
-            strength = vals[assigned]
-            agg[i] = agg[cand[np.argmax(strength)]]
+        best = -1
+        for t in range(indptr[i], indptr[i + 1]):
+            c = indices[t]
+            if ag[c] != -1 and (best == -1 or vals[t] > vals[best]):
+                best = t
+        if best != -1:
+            ag[i] = ag[indices[best]]
         else:
-            agg[i] = next_id
+            ag[i] = next_id
             next_id += 1
     return agg, next_id
 
@@ -355,11 +405,11 @@ def _vcycle(h: AmgHierarchy, k: int, r: np.ndarray) -> np.ndarray:
         return la.lu_solve(h.coarse_lu, r)
     lvl = h.levels[k]
     # pre-smooth from zero initial guess: one forward Gauss-Seidel sweep
-    x = spsolve_triangular(lvl.lower, r, lower=True)
+    x = lvl._lower_lu.solve(r)
     resid = r - lvl.matrix @ x
     x = x + lvl.prolong @ _vcycle(h, k + 1, lvl.prolong.T @ resid)
     # post-smooth: one backward sweep, the adjoint of the pre-smoother
-    return x + spsolve_triangular(lvl.upper, r - lvl.matrix @ x, lower=False)
+    return x + lvl._upper_lu.solve(r - lvl.matrix @ x)
 
 
 def amg_vcycle(h: AmgHierarchy, r: np.ndarray) -> np.ndarray:

@@ -314,8 +314,8 @@ def solve_smw_eps(factors: ArrowheadFactors, rhs: np.ndarray, eps: float) -> np.
     the spectrum of the cell blocks; the solution converges to the exact one
     as eps goes to zero.
     """
-    if eps <= 0:
-        raise SmwError(f"eps must be positive, got {eps}")
+    if not (eps > 0) or not np.isfinite(eps):
+        raise SmwError(f"eps must be positive and finite, got {eps}")
     n = factors.matrix.shape[0]
     base_eps = (factors.base + eps * sp.eye(n, format="csr")).tocsr()
     return _woodbury_solve(base_eps, factors.outer, factors.inner, rhs, "smw-eps")

@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve_triangular
 
 from emilab.fem import ProblemConfig, assemble_operators
-from emilab.meshgen import build_dofmap, build_mesh, label_model_a
+from emilab.meshgen import build_dofmap, build_mesh, label_model_a, label_model_b
 from emilab.solvers import (
     AmgError,
     AmgPreconditioner,
     SolverConfig,
+    _aggregate,
+    _ilu0_sweep,
+    _strength_graph,
+    _triangle_factor,
     amg_build,
     amg_vcycle,
     blockdiag_prec,
     cg_solve,
     ilu0_factor,
 )
-from emilab.system import build_system, pin_nullspace, solve_direct
+from emilab.system import build_system, interface_basis, pin_nullspace, solve_direct
 
 
 def dirichlet_laplacian_2d(m):
@@ -36,9 +43,9 @@ def tridiag_laplacian(n):
     ).tocsr()
 
 
-def _emi_case(nh, n_cells, tau=0.01):
+def _emi_case(nh, n_cells, tau=0.01, model="A"):
     mesh = build_mesh(nh)
-    labeling = label_model_a(mesh, n_cells)
+    labeling = label_model_a(mesh, n_cells) if model == "A" else label_model_b(mesh, n_cells)
     dofmap = build_dofmap(mesh, labeling)
     ops = assemble_operators(mesh, labeling, dofmap, ProblemConfig(tau=tau))
     return pin_nullspace(build_system(ops)), ops
@@ -163,8 +170,21 @@ def test_ilu0_zero_pivot_shifted():
 def test_ilu0_missing_diagonal_rejected():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     A.eliminate_zeros()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"row 0$"):
         ilu0_factor(A)
+
+
+def test_ilu0_stored_zero_pivot_shifted():
+    """An exactly zero stored pivot ends the sweep with min |pivot| 0, as the
+    reference sweep reports, and the factorization retries with a shift."""
+    A = sp.csr_matrix((np.array([0.0, 1.0, 1.0, 0.0]), [0, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, ref_piv = _ref_ilu0_sweep(A.copy())
+    _, piv = _ilu0_sweep(A.copy())
+    assert piv == ref_piv == 0.0
+    prec = ilu0_factor(A)
+    assert prec.shift > 0.0
+    assert np.all(np.isfinite(prec(np.array([1.0, 2.0]))))
 
 
 def test_ilu0_accelerates_cg():
@@ -237,6 +257,13 @@ def test_blockdiag_rejects_nonpositive_eps():
     _, ops = _emi_case(16, 1)
     with pytest.raises(ValueError):
         blockdiag_prec(ops, eps=0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_blockdiag_rejects_bad_eps(eps):
+    _, ops = _emi_case(8, 1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        blockdiag_prec(ops, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +385,170 @@ def test_block_preconditioned_spectrum_clusters_at_one():
         frac = np.count_nonzero((eigs < 0.9) | (eigs > 1.1)) / len(eigs)
         fractions.append(frac)
     assert fractions[0] > fractions[1] > fractions[2]
+
+
+# ---------------------------------------------------------------------------
+# Loop kernels against their numpy-scalar reference implementations
+
+
+def _ref_ilu0_sweep(A):
+    """Reference IKJ sweep indexing numpy arrays element by element."""
+    indptr, indices, data = A.indptr, A.indices, A.data
+    n = A.shape[0]
+    diag_pos = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        row = indices[indptr[i] : indptr[i + 1]]
+        k = np.searchsorted(row, i)
+        if k >= len(row) or row[k] != i:
+            raise ValueError(f"matrix lacks a stored diagonal entry in row {i}")
+        diag_pos[i] = indptr[i] + k
+    min_piv = np.inf
+    for i in range(n):
+        s, e = indptr[i], indptr[i + 1]
+        row_map = {c: s + j for j, c in enumerate(indices[s:e])}
+        for jj in range(s, e):
+            k = indices[jj]
+            if k >= i:
+                break
+            piv = data[diag_pos[k]]
+            lik = data[jj] / piv
+            data[jj] = lik
+            for pp in range(diag_pos[k] + 1, indptr[k + 1]):
+                t = row_map.get(indices[pp])
+                if t is not None:
+                    data[t] -= lik * data[pp]
+        min_piv = min(min_piv, abs(data[diag_pos[i]]))
+    return data, min_piv
+
+
+def _ref_aggregate(S):
+    """Reference greedy aggregation with numpy fancy indexing per row."""
+    n = S.shape[0]
+    agg = np.full(n, -1, dtype=np.int64)
+    indptr, indices, data = S.indptr, S.indices, S.data
+    next_id = 0
+    for i in range(n):
+        if agg[i] != -1:
+            continue
+        nbrs = indices[indptr[i] : indptr[i + 1]]
+        if len(nbrs) == 0 or np.all(agg[nbrs] == -1):
+            agg[i] = next_id
+            agg[nbrs] = next_id
+            next_id += 1
+    for i in range(n):
+        if agg[i] != -1:
+            continue
+        nbrs = indices[indptr[i] : indptr[i + 1]]
+        vals = data[indptr[i] : indptr[i + 1]]
+        assigned = agg[nbrs] != -1
+        if np.any(assigned):
+            cand = nbrs[assigned]
+            strength = vals[assigned]
+            agg[i] = agg[cand[np.argmax(strength)]]
+        else:
+            agg[i] = next_id
+            next_id += 1
+    return agg, next_id
+
+
+def _laplacian_with_isolated_row():
+    A = dirichlet_laplacian_2d(6).tolil()
+    A[7, :] = 0.0
+    A[:, 7] = 0.0
+    A[7, 7] = 4.0
+    return A.tocsr()
+
+
+def _interface_transform_a16():
+    system, ops = _emi_case(16, 1, tau=1e-5)
+    Q = interface_basis(ops.dofmap)
+    return Q.T @ system.matrix @ Q
+
+
+ORACLE_MATRICES = {
+    "laplacian-12": lambda: dirichlet_laplacian_2d(12),
+    "A16-1": lambda: _emi_case(16, 1)[0].matrix,
+    "A16-1-interface-basis": _interface_transform_a16,
+    "B32-4": lambda: _emi_case(32, 4, model="B")[0].matrix,
+    "isolated-row": _laplacian_with_isolated_row,
+}
+
+
+def _sorted_csr(A):
+    A = sp.csr_matrix(A, dtype=float).copy()
+    A.sort_indices()
+    return A
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+def test_ilu0_sweep_matches_reference(name):
+    A = _sorted_csr(ORACLE_MATRICES[name]())
+    data, piv = _ilu0_sweep(A.copy())
+    ref_data, ref_piv = _ref_ilu0_sweep(A.copy())
+    assert np.array_equal(data, ref_data)
+    assert piv == ref_piv
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+def test_aggregate_matches_reference(name):
+    S = _strength_graph(_sorted_csr(ORACLE_MATRICES[name]()), theta=0.08)
+    agg, n_agg = _aggregate(S)
+    ref_agg, ref_n_agg = _ref_aggregate(S)
+    assert np.array_equal(agg, ref_agg)
+    assert n_agg == ref_n_agg
+    if name == "isolated-row":
+        assert np.diff(S.indptr)[7] == 0
+        assert np.count_nonzero(agg == agg[7]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Triangle factors used by the ILU(0) apply and the Gauss-Seidel sweeps
+
+
+def _assert_triangle_factor_matches(T, lower, rng):
+    n = T.shape[0]
+    lu = _triangle_factor(T)
+    assert lu.L.nnz + lu.U.nnz == T.nnz + n  # no fill
+    b = rng.standard_normal(n)
+    ref = spsolve_triangular(T, b, lower=lower)
+    assert np.linalg.norm(lu.solve(b) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_triangle_factor_ilu0_triangles():
+    system, _ = _emi_case(16, 1)
+    prec = ilu0_factor(system.matrix)
+    rng = np.random.default_rng(41)
+    _assert_triangle_factor_matches(prec.lower, True, rng)
+    _assert_triangle_factor_matches(prec.upper, False, rng)
+
+
+def test_triangle_factor_amg_level_triangles():
+    h = amg_build(dirichlet_laplacian_2d(24), target_coarse=50)
+    assert len(h.levels) >= 2
+    rng = np.random.default_rng(43)
+    for lvl in h.levels:
+        _assert_triangle_factor_matches(lvl.lower, True, rng)
+        _assert_triangle_factor_matches(lvl.upper, False, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    density=st.floats(0.0, 0.5),
+    lower=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_triangle_factor_matches_dense_solve(n, density, lower, seed):
+    """Random sparse triangles, rows diagonally dominant so the diagonal
+    stays away from 0, solve like the dense triangular solver."""
+    rng = np.random.default_rng(seed)
+    off = sp.random(n, n, density=density, random_state=rng, data_rvs=lambda k: rng.uniform(-1, 1, k))
+    off = sp.tril(off, -1) if lower else sp.triu(off, 1)
+    dominance = 1.0 + np.asarray(abs(off).sum(axis=1)).ravel()
+    diag = rng.choice([-1.0, 1.0], n) * dominance * rng.uniform(1.0, 2.0, n)
+    T = (off + sp.diags(diag)).tocsr()
+    b = rng.standard_normal(n)
+    ref = la.solve_triangular(T.toarray(), b, lower=lower)
+    lu = _triangle_factor(T)
+    assert lu.L.nnz + lu.U.nnz == T.nnz + n
+    assert np.linalg.norm(lu.solve(b) - ref) <= 1e-10 * np.linalg.norm(ref)

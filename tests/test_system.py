@@ -197,6 +197,14 @@ def test_smw_eps_rejects_zero():
         solve_smw_eps(f, system.rhs, 0.0)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_smw_eps_rejects_bad_eps(eps):
+    system, _, _ = _system("A", 8, 1, pin=True)
+    f = build_arrowhead_factors(system)
+    with pytest.raises(SmwError, match="positive and finite"):
+        solve_smw_eps(f, system.rhs, eps)
+
+
 def test_smw_exact_matches_direct():
     system, _, _ = _system("A", 16, 1, pin=True)
     f = build_arrowhead_factors(system)
