@@ -1,10 +1,14 @@
 """P1 finite element operators for the coupled multi-domain system.
 
-Per subdomain i the discrete pieces are the bulk stiffness ``A_i``, the
-membrane mass ``M_i`` (1D mass along the interface polyline, embedded in the
-subdomain's dof space), the bulk mass ``Mtilde_i`` used by the block-diagonal
-preconditioner, the interface coupling blocks ``B_{i,j}`` (negated mass
-pairing the two traces), and the membrane source vector ``f_i``.
+Every operator is assembled once over the whole mesh, as one n x n matrix
+(or n-vector) over the global dofs of the :class:`DofMap`: the bulk
+stiffness with the blocks ``A_i`` on its diagonal, the membrane mass with
+the blocks ``M_i`` (1D mass along each subdomain's interface polyline), the
+bulk mass with the blocks ``Mtilde_i`` used by the block-diagonal
+preconditioner, the interface coupling with the blocks ``B_{i,j}`` (negated
+mass pairing the two traces) off the diagonal, and the membrane source
+vector with the pieces ``f_i``.  Block i spans the dofs
+``block_start[i]:block_start[i+1]``; ``DofMap.block`` slices one out.
 
 All quadrature is exact for the P1 integrands; the oscillating source is
 integrated with 2-point Gauss per membrane edge (degree-3 exactness).
@@ -38,7 +42,7 @@ _GAUSS_T = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 
 class AssemblyError(ValueError):
-    """Raised for empty subdomains or missing interfaces."""
+    """Raised when a subdomain contains no triangles."""
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,21 @@ class ProblemConfig:
         sigma = np.asarray(self.sigma)
         return float(self.tau * (sigma if sigma.ndim == 0 else sigma[i]))
 
+    def tau_per_dof(self, block_sizes: np.ndarray) -> np.ndarray:
+        """``tau_i`` repeated over the dofs of every block i.
+
+        Raises ``ValueError`` unless sigma is a scalar or has one value per
+        subdomain.
+        """
+        sigma = np.asarray(self.sigma, dtype=float)
+        n_sub = len(block_sizes)
+        if sigma.ndim != 0 and sigma.shape != (n_sub,):
+            raise ValueError(
+                f"sigma must be a scalar or have shape ({n_sub},) for {n_sub} "
+                f"subdomains, got shape {sigma.shape}"
+            )
+        return np.repeat(self.tau * np.broadcast_to(sigma, (n_sub,)), block_sizes)
+
 
 def default_stimulus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Oscillating initial membrane stimulus, half a sine of the squared radius."""
@@ -77,27 +96,24 @@ def default_stimulus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OperatorSet:
-    """All assembled blocks for one (mesh, labeling, config) triple."""
+    """All assembled operators for one (mesh, labeling, config) triple.
 
-    stiffness: list  # A_i, csr
-    membrane_mass: list  # M_i, csr
-    bulk_mass: list  # Mtilde_i, csr
-    coupling: dict  # (i, j) -> B_{i,j}, csr; both orders stored
-    rhs: list  # f_i vectors
+    Each matrix is n x n over the global dofs and each vector has length n;
+    block (i, j) is the slice ``dofmap.block(matrix, i, j)``.
+    """
+
+    stiffness: sp.csr_matrix  # A_i on the diagonal blocks, unscaled
+    membrane_mass: sp.csr_matrix  # M_i on the diagonal blocks
+    bulk_mass: sp.csr_matrix  # Mtilde_i on the diagonal blocks
+    coupling: sp.csr_matrix  # B_{i,j} off the diagonal blocks, both orders
+    rhs: np.ndarray  # f_i stacked block by block
     dofmap: DofMap
     config: ProblemConfig
     model: str
 
 
-def _subdomain_triangles(mesh: StructuredMesh, labeling: SubdomainLabeling, i: int) -> np.ndarray:
-    tris = mesh.triangles[labeling.cell_of == i]
-    if len(tris) == 0:
-        raise AssemblyError(f"subdomain {i} contains no triangles")
-    return tris
-
-
-def _element_geometry(mesh: StructuredMesh, tris: np.ndarray):
-    p = mesh.vertices[tris]
+def _element_geometry(mesh: StructuredMesh):
+    p = mesh.vertices[mesh.triangles]
     x, y = p[..., 0], p[..., 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
@@ -105,103 +121,97 @@ def _element_geometry(mesh: StructuredMesh, tris: np.ndarray):
     return b, c, area
 
 
-def _scatter(block_dofs: np.ndarray, local: np.ndarray, size: int) -> sp.csr_matrix:
-    rows = np.repeat(block_dofs, 3, axis=1).ravel()
-    cols = np.tile(block_dofs, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size))
-    return mat.tocsr()
+def _element_dofs(mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap):
+    """Global dofs of every triangle's vertices in its own subdomain."""
+    counts = np.bincount(labeling.cell_of, minlength=labeling.n_subdomains)
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        raise AssemblyError(f"subdomain {empty[0]} contains no triangles")
+    return dofmap.global_dofs(labeling.cell_of[:, None], mesh.triangles)
+
+
+def _scatter(dofs: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
+    # COO to CSR keeps the element order inside each row, and every row
+    # collects the elements of one subdomain only, so each entry is summed
+    # in the same order as by a per-subdomain assembly
+    rows = np.repeat(dofs, 3, axis=1).ravel()
+    cols = np.tile(dofs, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_stiffness(
-    mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap, i: int
+    mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap
 ) -> sp.csr_matrix:
-    """Bulk P1 stiffness of subdomain i (pure Neumann, constants in kernel).
+    """Bulk P1 stiffness of every subdomain (pure Neumann, constants in kernel).
 
     On the structured right-triangle mesh the interior stencil is the 5-point
     Laplacian {4, -1, -1, -1, -1}; the h factors cancel in 2D.
     """
-    tris = _subdomain_triangles(mesh, labeling, i)
-    b, c, area = _element_geometry(mesh, tris)
+    dofs = _element_dofs(mesh, labeling, dofmap)
+    b, c, area = _element_geometry(mesh)
     local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
         4.0 * area
     )[:, None, None]
-    n_i = int(dofmap.block_sizes[i])
-    dofs = dofmap.local_dofs(i, tris.ravel()).reshape(tris.shape)
-    return _scatter(dofs, local, n_i)
+    return _scatter(dofs, local, dofmap.n)
 
 
 def assemble_bulk_mass(
-    mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap, i: int
+    mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap
 ) -> sp.csr_matrix:
-    """Consistent P1 mass over the subdomain bulk (SPD, row sums = areas/3)."""
-    tris = _subdomain_triangles(mesh, labeling, i)
-    _, _, area = _element_geometry(mesh, tris)
+    """Consistent P1 mass over every subdomain bulk (SPD, row sums = areas/3)."""
+    dofs = _element_dofs(mesh, labeling, dofmap)
+    _, _, area = _element_geometry(mesh)
     pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * pattern[None, :, :]
-    n_i = int(dofmap.block_sizes[i])
-    dofs = dofmap.local_dofs(i, tris.ravel()).reshape(tris.shape)
-    return _scatter(dofs, local, n_i)
+    return _scatter(dofs, local, dofmap.n)
 
 
-def _interface_edges(labeling: SubdomainLabeling, i: int, j: int | None = None) -> np.ndarray:
+def _edge_dofs(labeling: SubdomainLabeling, dofmap: DofMap):
+    """Dofs of both membrane edge ends on the lower (i) and upper (j) side."""
     me = labeling.membrane_edges
-    if j is None:
-        sel = (me[:, 2] == i) | (me[:, 3] == i)
-    else:
-        lo, hi = min(i, j), max(i, j)
-        sel = (me[:, 2] == lo) & (me[:, 3] == hi)
-    return me[sel]
+    ends = me[:, :2]
+    return dofmap.global_dofs(me[:, 2:3], ends), dofmap.global_dofs(me[:, 3:4], ends)
 
 
-def assemble_membrane_mass(
-    mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap, i: int
-) -> sp.csr_matrix:
-    """1D P1 mass along the interface polyline of subdomain i.
+def _edge_pairs(rows: np.ndarray, cols: np.ndarray, h: float, n: int) -> sp.csr_matrix:
+    """Sum of the edge masses [[h/3, h/6], [h/6, h/3]] pairing rows with cols.
 
-    Each edge of length h contributes [[h/3, h/6], [h/6, h/3]]; subdomains
-    with an empty interface get a zero matrix.
+    ``rows`` and ``cols`` hold one (v0, v1) dof pair per edge.
     """
-    n_i = int(dofmap.block_sizes[i])
-    edges = _interface_edges(labeling, i)
-    if len(edges) == 0:
-        return sp.csr_matrix((n_i, n_i))
-    h = mesh.h
-    d0 = dofmap.local_dofs(i, edges[:, 0])
-    d1 = dofmap.local_dofs(i, edges[:, 1])
-    m = len(edges)
-    rows = np.concatenate([d0, d1, d0, d1])
-    cols = np.concatenate([d0, d1, d1, d0])
+    m = len(rows)
+    r = np.concatenate([rows[:, 0], rows[:, 1], rows[:, 0], rows[:, 1]])
+    c = np.concatenate([cols[:, 0], cols[:, 1], cols[:, 1], cols[:, 0]])
     vals = np.concatenate(
         [np.full(m, h / 3), np.full(m, h / 3), np.full(m, h / 6), np.full(m, h / 6)]
     )
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n_i, n_i)).tocsr()
+    return sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
+
+
+def assemble_membrane_mass(
+    mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap
+) -> sp.csr_matrix:
+    """1D P1 mass along the interface polyline of every subdomain.
+
+    Each edge of length h contributes [[h/3, h/6], [h/6, h/3]] to both
+    incident subdomains; rows of dofs off the membranes are empty.
+    """
+    lo, hi = _edge_dofs(labeling, dofmap)
+    both = np.concatenate([lo, hi])
+    return _edge_pairs(both, both, mesh.h, dofmap.n)
 
 
 def assemble_coupling(
-    mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap, i: int, j: int
+    mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap
 ) -> sp.csr_matrix:
-    """Interface coupling block pairing the traces of subdomains i and j.
+    """Interface coupling pairing the traces of every two adjacent subdomains.
 
-    Entries are the negated edge mass values, so B(i,j) = B(j,i)^T and all
-    entries are nonpositive.  Raises if the two subdomains share no edge.
+    Entries are the negated edge mass values, placed in block (i, j) and its
+    transpose (j, i), so the matrix is symmetric and nonpositive.
     """
-    edges = _interface_edges(labeling, i, j)
-    if len(edges) == 0:
-        raise AssemblyError(f"subdomains {i} and {j} share no interface")
-    h = mesh.h
-    n_i = int(dofmap.block_sizes[i])
-    n_j = int(dofmap.block_sizes[j])
-    gi0 = dofmap.local_dofs(i, edges[:, 0])
-    gi1 = dofmap.local_dofs(i, edges[:, 1])
-    gj0 = dofmap.local_dofs(j, edges[:, 0])
-    gj1 = dofmap.local_dofs(j, edges[:, 1])
-    m = len(edges)
-    rows = np.concatenate([gi0, gi1, gi0, gi1])
-    cols = np.concatenate([gj0, gj1, gj1, gj0])
-    vals = np.concatenate(
-        [np.full(m, -h / 3), np.full(m, -h / 3), np.full(m, -h / 6), np.full(m, -h / 6)]
-    )
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n_i, n_j)).tocsr()
+    lo, hi = _edge_dofs(labeling, dofmap)
+    out = _edge_pairs(np.concatenate([lo, hi]), np.concatenate([hi, lo]), mesh.h, dofmap.n)
+    out.data *= -1.0
+    return out
 
 
 def assemble_rhs(
@@ -210,17 +220,15 @@ def assemble_rhs(
     dofmap: DofMap,
     config: ProblemConfig,
     stimulus: Callable[[np.ndarray, np.ndarray], np.ndarray] = default_stimulus,
-) -> list:
-    """Membrane source vectors, one per subdomain.
+) -> np.ndarray:
+    """Membrane source vector over the global dofs.
 
     The edge density is g(x) = stimulus(x) * (1 - tau); on the interface
     between subdomains a < b the integral enters f_a with a minus sign and
     f_b with a plus sign, so matched trace dofs receive opposite values.
     """
     me = labeling.membrane_edges
-    fvec = [np.zeros(int(s)) for s in dofmap.block_sizes]
-    if len(me) == 0:
-        return fvec
+    fvec = np.zeros(dofmap.n)
     h = mesh.h
     p0 = mesh.vertices[me[:, 0]]
     p1 = mesh.vertices[me[:, 1]]
@@ -231,13 +239,9 @@ def assemble_rhs(
         g = stimulus(q[:, 0], q[:, 1]) * (1.0 - config.tau)
         w0 += 0.5 * h * g * (1.0 - t)
         w1 += 0.5 * h * g * t
-    for side, sign in ((2, -1.0), (3, 1.0)):
-        for i in np.unique(me[:, side]):
-            sel = me[:, side] == i
-            d0 = dofmap.local_dofs(i, me[sel, 0])
-            d1 = dofmap.local_dofs(i, me[sel, 1])
-            np.add.at(fvec[i], d0, sign * w0[sel])
-            np.add.at(fvec[i], d1, sign * w1[sel])
+    for side, sign in zip(_edge_dofs(labeling, dofmap), (-1.0, 1.0)):
+        np.add.at(fvec, side[:, 0], sign * w0)
+        np.add.at(fvec, side[:, 1], sign * w1)
     return fvec
 
 
@@ -248,26 +252,13 @@ def assemble_operators(
     config: ProblemConfig,
     stimulus: Callable[[np.ndarray, np.ndarray], np.ndarray] = default_stimulus,
 ) -> OperatorSet:
-    """Assemble every block needed by the global system and preconditioners."""
-    n_sub = labeling.n_subdomains
-    stiffness = [assemble_stiffness(mesh, labeling, dofmap, i) for i in range(n_sub)]
-    membrane = [assemble_membrane_mass(mesh, labeling, dofmap, i) for i in range(n_sub)]
-    bulk = [assemble_bulk_mass(mesh, labeling, dofmap, i) for i in range(n_sub)]
-    coupling = {}
-    me = labeling.membrane_edges
-    if len(me):
-        pairs = np.unique(me[:, 2:4], axis=0)
-        for i, j in pairs:
-            bij = assemble_coupling(mesh, labeling, dofmap, int(i), int(j))
-            coupling[(int(i), int(j))] = bij
-            coupling[(int(j), int(i))] = bij.T.tocsr()
-    rhs = assemble_rhs(mesh, labeling, dofmap, config, stimulus)
+    """Assemble every operator needed by the global system and preconditioners."""
     return OperatorSet(
-        stiffness=stiffness,
-        membrane_mass=membrane,
-        bulk_mass=bulk,
-        coupling=coupling,
-        rhs=rhs,
+        stiffness=assemble_stiffness(mesh, labeling, dofmap),
+        membrane_mass=assemble_membrane_mass(mesh, labeling, dofmap),
+        bulk_mass=assemble_bulk_mass(mesh, labeling, dofmap),
+        coupling=assemble_coupling(mesh, labeling, dofmap),
+        rhs=assemble_rhs(mesh, labeling, dofmap, config, stimulus),
         dofmap=dofmap,
         config=config,
         model=labeling.model,

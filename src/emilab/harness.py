@@ -203,20 +203,13 @@ def _membrane_mass_dominates(case: Case, factor: float = 10.0) -> bool:
     built in the interface average/difference basis instead.
     """
     dofmap = case.dofmap
-    cfg = case.operators.config
-    mass, stiff = [], []
-    for i in range(dofmap.n_subdomains):
-        s, e = dofmap.block_range(i)
-        mem = dofmap.is_membrane[s:e]
-        if not mem.any():
-            continue
-        mass.append(case.operators.membrane_mass[i].diagonal()[mem])
-        stiff.append(cfg.tau_i(i) * case.operators.stiffness[i].diagonal()[mem])
-    if not mass:
+    ops = case.operators
+    mem = dofmap.is_membrane
+    if not mem.any():
         return False
-    return float(np.median(np.concatenate(mass))) >= factor * float(
-        np.median(np.concatenate(stiff))
-    )
+    mass = ops.membrane_mass.diagonal()[mem]
+    stiff = ops.config.tau_per_dof(dofmap.block_sizes)[mem] * ops.stiffness.diagonal()[mem]
+    return float(np.median(mass)) >= factor * float(np.median(stiff))
 
 
 def _build_preconditioner(case: Case, solver: str, eps: float):

@@ -123,23 +123,43 @@ class DofMap:
     def block_range(self, i: int) -> tuple[int, int]:
         return int(self.block_start[i]), int(self.block_start[i + 1])
 
+    def block(self, a, i: int, j: int | None = None):
+        """Block i of a global vector, or block (i, j) of a global matrix.
+
+        ``j`` defaults to ``i``, the diagonal block.
+        """
+        si, ei = self.block_range(i)
+        if a.ndim == 1:
+            return a[si:ei]
+        sj, ej = self.block_range(i if j is None else j)
+        return a[si:ei, sj:ej]
+
     @cached_property
-    def _vertex_order(self) -> np.ndarray:
-        # within-block permutation sorting dofs by vertex id, for lookups
-        return np.lexsort((self.vertex, self.subdomain))
+    def _key_order(self) -> tuple[int, np.ndarray, np.ndarray]:
+        # (stride, sorted subdomain*stride + vertex keys, dofs in key order)
+        stride = int(self.vertex.max()) + 1
+        keys = self.subdomain * stride + self.vertex
+        order = np.argsort(keys)
+        return stride, keys[order], order
+
+    def global_dofs(self, subdomain, verts: np.ndarray) -> np.ndarray:
+        """Global dofs of the (subdomain, vertex) pairs, broadcast together.
+
+        Raises ``KeyError`` if a vertex owns no dof in its subdomain.
+        """
+        stride, keys, order = self._key_order
+        verts = np.asarray(verts)
+        want = np.asarray(subdomain) * stride + verts
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        missing = (verts < 0) | (verts >= stride) | (keys[pos] != want)
+        if missing.any():
+            i = np.broadcast_to(subdomain, missing.shape)[missing][0]
+            raise KeyError(f"vertex not present in subdomain {i}")
+        return order[pos]
 
     def local_dofs(self, i: int, verts: np.ndarray) -> np.ndarray:
         """Local indices (within block i) of the dofs at the given vertices."""
-        s, e = self.block_range(i)
-        idx = self._vertex_order[s:e]
-        sorted_verts = self.vertex[idx]
-        pos = np.searchsorted(sorted_verts, verts)
-        if np.any(pos >= len(sorted_verts)) or np.any(sorted_verts[np.minimum(pos, len(sorted_verts) - 1)] != verts):
-            raise KeyError(f"vertex not present in subdomain {i}")
-        return idx[pos] - s
-
-    def global_dofs(self, i: int, verts: np.ndarray) -> np.ndarray:
-        return self.block_start[i] + self.local_dofs(i, verts)
+        return self.global_dofs(i, verts) - self.block_start[i]
 
     def coords(self, mesh: StructuredMesh) -> np.ndarray:
         """Coordinates of every global dof."""

@@ -248,20 +248,15 @@ def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPrecondition
 
     The bulk mass is the full-rank regularization of each Neumann stiffness
     block; the assembled block-diagonal matrix is SPD for any positive eps
-    and factorized once.  The blocks are placed unscaled and every stored
-    entry is then multiplied once by the tau_i of its row.
+    and factorized once.  ``A + eps * Mtilde`` is formed unscaled and every
+    stored entry is then multiplied once by the tau_i of its row.
     """
     config = operators.config
     eps = float(config.epsilon if eps is None else eps)
     if not (eps > 0) or not np.isfinite(eps):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    dofmap = operators.dofmap
-    n_sub = dofmap.n_subdomains
-    P = sp.block_diag(
-        [operators.stiffness[i] + eps * operators.bulk_mass[i] for i in range(n_sub)],
-        format="csr",
-    )
-    row_tau = np.repeat([config.tau_i(i) for i in range(n_sub)], dofmap.block_sizes)
+    P = (operators.stiffness + eps * operators.bulk_mass).tocsr()
+    row_tau = config.tau_per_dof(operators.dofmap.block_sizes)
     P.data *= np.repeat(row_tau, np.diff(P.indptr))
     try:
         lu = splu(P.tocsc())

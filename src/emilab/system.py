@@ -65,9 +65,7 @@ class BlockSystem:
         return self.matrix.shape[0]
 
     def block(self, i: int, j: int) -> sp.csr_matrix:
-        si, li = self.block_ranges[i]
-        sj, lj = self.block_ranges[j]
-        return self.matrix[si : si + li, sj : sj + lj]
+        return self.dofmap.block(self.matrix, i, j)
 
 
 @dataclass
@@ -100,45 +98,26 @@ class ScaledSystem:
 
 
 def build_system(operators: OperatorSet) -> BlockSystem:
-    """Assemble the global symmetric matrix and right-hand side from blocks."""
-    config = operators.config
+    """The global symmetric matrix ``tau_i*A + M + B`` and right-hand side.
+
+    The stiffness rows of block i are scaled by its ``tau_i``.
+    """
     dofmap = operators.dofmap
-    sizes = dofmap.block_sizes
-    n_sub = dofmap.n_subdomains
-    starts = dofmap.block_start
     n = dofmap.n
-
-    rows, cols, vals = [], [], []
-    for i in range(n_sub):
-        a_i = operators.stiffness[i]
-        m_i = operators.membrane_mass[i]
-        if a_i.shape != (sizes[i], sizes[i]) or m_i.shape != (sizes[i], sizes[i]):
-            raise ValueError(f"block {i} dimensions do not match the dof map")
-        d_i = (config.tau_i(i) * a_i + m_i).tocoo()
-        rows.append(d_i.row + starts[i])
-        cols.append(d_i.col + starts[i])
-        vals.append(d_i.data)
-    for (i, j), b_ij in operators.coupling.items():
-        if b_ij.shape != (sizes[i], sizes[j]):
-            raise ValueError(f"coupling block {(i, j)} has wrong shape")
-        b = b_ij.tocoo()
-        rows.append(b.row + starts[i])
-        cols.append(b.col + starts[j])
-        vals.append(b.data)
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-
-    rhs = np.concatenate(operators.rhs) if operators.rhs else np.zeros(n)
-    ranges = [(int(starts[i]), int(sizes[i])) for i in range(n_sub)]
+    parts = (operators.stiffness, operators.membrane_mass, operators.coupling)
+    if any(part.shape != (n, n) for part in parts) or operators.rhs.shape != (n,):
+        raise ValueError(f"operator dimensions do not match the dof map (n={n})")
+    scaled = operators.stiffness.tocsr(copy=True)
+    scaled.data *= np.repeat(
+        operators.config.tau_per_dof(dofmap.block_sizes), np.diff(scaled.indptr)
+    )
+    matrix = (scaled + operators.membrane_mass + operators.coupling).tocsr()
+    starts, sizes = dofmap.block_start, dofmap.block_sizes
     return BlockSystem(
         matrix=matrix,
-        rhs=rhs,
-        block_ranges=ranges,
-        config=config,
+        rhs=operators.rhs,
+        block_ranges=[(int(s), int(l)) for s, l in zip(starts, sizes)],
+        config=operators.config,
         model=operators.model,
         dofmap=dofmap,
     )
@@ -345,24 +324,15 @@ def interface_basis(dofmap: DofMap) -> sp.csr_matrix:
     n = dofmap.n
     order = np.argsort(dofmap.vertex, kind="stable")
     verts_sorted = dofmap.vertex[order]
-    group_start = np.flatnonzero(
-        np.concatenate([[True], verts_sorted[1:] != verts_sorted[:-1]])
-    )
-    group_end = np.concatenate([group_start[1:], [n]])
-    rows, cols, vals = [], [], []
-    col = 0
-    for s, e in zip(group_start, group_end):
-        dofs = order[s:e]
-        k = e - s
-        rows.extend(dofs.tolist())
-        cols.extend([col] * k)
-        vals.extend([1.0] * k)
-        col += 1
-        for m in range(1, k):
-            rows.extend([dofs[0], dofs[m]])
-            cols.extend([col, col])
-            vals.extend([1.0, -1.0])
-            col += 1
+    first = np.concatenate([[True], verts_sorted[1:] != verts_sorted[:-1]])
+    # each vertex group owns the columns start..start+k-1 of its sorted
+    # positions: the average at start, the differences after it
+    pos = np.arange(n)
+    start = pos[first][np.cumsum(first) - 1]
+    diff = ~first
+    rows = np.concatenate([order, order[start[diff]], order[diff]])
+    cols = np.concatenate([start, pos[diff], pos[diff]])
+    vals = np.concatenate([np.ones(n), np.ones(diff.sum()), -np.ones(diff.sum())])
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 

@@ -301,9 +301,9 @@ def test_operator_export_roundtrip(tmp_path):
     case = build_case("A", 16, 1, 0.01)
     ops = case.operators
     for name, mat in (
-        ("stiffness", ops.stiffness[1]),
-        ("membrane", ops.membrane_mass[1]),
-        ("coupling", ops.coupling[(0, 1)]),
+        ("stiffness", ops.dofmap.block(ops.stiffness, 1)),
+        ("membrane", ops.dofmap.block(ops.membrane_mass, 1)),
+        ("coupling", ops.dofmap.block(ops.coupling, 0, 1)),
     ):
         path = tmp_path / f"{name}.mtx"
         write_matrix_market(mat, path)

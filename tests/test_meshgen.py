@@ -277,3 +277,19 @@ def test_local_dof_lookup_roundtrip():
         # vertex strictly inside the cell does not belong to block 0
         inner = dofmap.vertex[(dofmap.subdomain == 1) & ~dofmap.is_membrane][0]
         dofmap.local_dofs(0, np.array([inner]))
+
+
+def test_dof_lookup_broadcasts_over_subdomains():
+    mesh = build_mesh(16)
+    dofmap = build_dofmap(mesh, label_model_b(mesh, 4))
+    got = dofmap.global_dofs(dofmap.subdomain, dofmap.vertex)
+    assert np.array_equal(got, np.arange(dofmap.n))
+    pairs = np.stack([dofmap.vertex[:5], dofmap.vertex[-5:]])
+    subs = np.array([[dofmap.subdomain[0]], [dofmap.subdomain[-1]]])
+    assert np.array_equal(
+        dofmap.global_dofs(subs, pairs), [np.arange(5), np.arange(dofmap.n - 5, dofmap.n)]
+    )
+    # vertex ids outside the mesh must not alias a neighbouring subdomain's key
+    for bad in (-1, mesh.n_vertices):
+        with pytest.raises(KeyError, match="subdomain 1"):
+            dofmap.global_dofs(np.array([1, 1]), np.array([dofmap.vertex[-1], bad]))

@@ -249,7 +249,9 @@ def test_blockdiag_scales_each_block_by_its_tau_i():
     ops = assemble_operators(mesh, labeling, dofmap, config)
     prec = blockdiag_prec(ops, eps=1e-4)
     s1, e1 = dofmap.block_range(1)
-    expected = (3.0 * 0.01) * (ops.stiffness[1] + 1e-4 * ops.bulk_mass[1])
+    expected = (3.0 * 0.01) * (
+        dofmap.block(ops.stiffness, 1) + 1e-4 * dofmap.block(ops.bulk_mass, 1)
+    )
     assert np.array_equal(prec.matrix[s1:e1, s1:e1].toarray(), expected.toarray())
 
 

@@ -99,7 +99,7 @@ def test_p1_symbol_matches_interior_stencil():
     mesh = build_mesh(nh)
     labeling = label_model_a(mesh, 0)
     dofmap = build_dofmap(mesh, labeling)
-    A = assemble_stiffness(mesh, labeling, dofmap, 0)
+    A = dofmap.block(assemble_stiffness(mesh, labeling, dofmap), 0)
     center = 4 * (nh + 1) + 4
     dof = int(dofmap.local_dofs(0, np.array([center]))[0])
     f = p1_laplacian_symbol()
@@ -183,7 +183,7 @@ def test_membrane_mass_zero_distribution():
     labeling = label_model_a(mesh, 1)
     dofmap = build_dofmap(mesh, labeling)
     for i in range(2):
-        M = assemble_membrane_mass(mesh, labeling, dofmap, i)
+        M = dofmap.block(assemble_membrane_mass(mesh, labeling, dofmap), i)
         eigs = eig_rearranged(M.toarray())
         frac = np.count_nonzero(np.abs(eigs) > 1e-12) / len(eigs)
         assert frac <= dofmap.n_gamma_per[i] / dofmap.block_sizes[i]

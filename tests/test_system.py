@@ -1,11 +1,22 @@
 """Global system tests: block layout, pinning, Woodbury paths, scaling."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emilab.fem import ProblemConfig, assemble_operators
-from emilab.meshgen import build_dofmap, build_mesh, label_model_a, label_model_b
+from emilab.meshgen import (
+    admissible_cells_model_a,
+    build_dofmap,
+    build_mesh,
+    label_model_a,
+    label_model_b,
+)
+from emilab.solvers import blockdiag_prec
 from emilab.system import (
     ArrowheadError,
     SmwError,
@@ -35,9 +46,12 @@ def _system(model, nh, n_cells, tau=0.01, pin=False):
 def test_block_structure():
     system, ops, _ = _system("A", 16, 1)
     cfg = ops.config
-    d1 = (cfg.tau_i(1) * ops.stiffness[1] + ops.membrane_mass[1]).tocsr()
+    dofmap = ops.dofmap
+    d1 = (
+        cfg.tau_i(1) * dofmap.block(ops.stiffness, 1) + dofmap.block(ops.membrane_mass, 1)
+    ).tocsr()
     assert abs(system.block(1, 1) - d1).max() == 0.0
-    assert abs(system.block(0, 1) - ops.coupling[(0, 1)]).max() == 0.0
+    assert abs(system.block(0, 1) - dofmap.block(ops.coupling, 0, 1)).max() == 0.0
     assert abs(system.matrix - system.matrix.T).max() == 0.0
 
 
@@ -63,14 +77,14 @@ def test_block_diagonal_model_b_gap_junctions():
 
 def test_dimension_mismatch_rejected():
     system, ops, _ = _system("A", 8, 1)
-    ops.stiffness[1] = sp.eye(3, format="csr")
+    ops.stiffness = sp.eye(3, format="csr")
     with pytest.raises(ValueError):
         build_system(ops)
 
 
 def test_degenerate_single_block():
     system, ops, _ = _system("A", 8, 0, tau=0.37)
-    expected = (0.37 * ops.stiffness[0]).tocsr()
+    expected = (0.37 * ops.dofmap.block(ops.stiffness, 0)).tocsr()
     assert abs(system.matrix - expected).max() == 0.0
 
 
@@ -81,7 +95,7 @@ def test_per_subdomain_conductivities():
     config = ProblemConfig(tau=0.5, sigma=np.array([2.0, 3.0]))
     ops = assemble_operators(mesh, labeling, dofmap, config)
     system = build_system(ops)
-    d1 = (1.5 * ops.stiffness[1] + ops.membrane_mass[1]).tocsr()
+    d1 = (1.5 * dofmap.block(ops.stiffness, 1) + dofmap.block(ops.membrane_mass, 1)).tocsr()
     assert abs(system.block(1, 1) - d1).max() == 0.0
     scaled = build_scaled(system)
     assert np.allclose(scaled.scale_factors, [1 / np.sqrt(1.0), 1 / np.sqrt(1.5)])
@@ -259,7 +273,7 @@ def test_scaled_default_is_symbol_normalized():
     s0, l0 = system.block_ranges[0]
     bulk = scaled.matrix[s0 : s0 + l0, s0 : s0 + l0]
     interior = ~system.dofmap.is_membrane[s0 : s0 + l0]
-    a0 = ops.stiffness[0]
+    a0 = ops.dofmap.block(ops.stiffness, 0)
     diff = (bulk - a0).toarray()[np.ix_(interior, interior)]
     assert np.abs(diff).max() <= 1e-12
 
@@ -351,3 +365,95 @@ def test_interface_basis_exposes_tau_scale():
     jump_diag = diag[channel_of_group[membrane_groups] + 1]
     assert avg_diag.max() <= 50 * tau  # tau-scale, not mass-scale
     assert jump_diag.min() >= 0.1 * (1.0 / 16)  # jump channels keep the mass scale
+
+
+def _interface_basis_loop(dofmap):
+    """Reference: the per-vertex-group loop the vectorized basis replaces."""
+    n = dofmap.n
+    order = np.argsort(dofmap.vertex, kind="stable")
+    verts_sorted = dofmap.vertex[order]
+    group_start = np.flatnonzero(
+        np.concatenate([[True], verts_sorted[1:] != verts_sorted[:-1]])
+    )
+    group_end = np.concatenate([group_start[1:], [n]])
+    rows, cols, vals = [], [], []
+    col = 0
+    for s, e in zip(group_start, group_end):
+        dofs = order[s:e]
+        k = e - s
+        rows.extend(dofs.tolist())
+        cols.extend([col] * k)
+        vals.extend([1.0] * k)
+        col += 1
+        for m in range(1, k):
+            rows.extend([dofs[0], dofs[m]])
+            cols.extend([col, col])
+            vals.extend([1.0, -1.0])
+            col += 1
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize(
+    "model,nh,n_cells", [("A", 16, 1), ("A", 64, 441), ("B", 64, 576), ("B", 128, 16)]
+)
+def test_interface_basis_matches_loop(model, nh, n_cells):
+    mesh = build_mesh(nh)
+    labeling = label_model_a(mesh, n_cells) if model == "A" else label_model_b(mesh, n_cells)
+    dofmap = build_dofmap(mesh, labeling)
+    got, want = interface_basis(dofmap), _interface_basis_loop(dofmap)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+@pytest.mark.parametrize(
+    "sigma", [[2.0, 3.0, 4.0], [2.0], [[2.0, 3.0]]], ids=["too-long", "too-short", "2-d"]
+)
+def test_sigma_length_must_match_subdomains(sigma):
+    mesh = build_mesh(16)
+    labeling = label_model_a(mesh, 1)
+    dofmap = build_dofmap(mesh, labeling)
+    ops = assemble_operators(mesh, labeling, dofmap, ProblemConfig(sigma=sigma))
+    match = rf"\(2,\).*got shape {re.escape(str(np.shape(sigma)))}"
+    with pytest.raises(ValueError, match=match):
+        build_system(ops)
+    with pytest.raises(ValueError, match=match):
+        blockdiag_prec(ops)
+
+
+def _admissible_cells(model, nh):
+    if model == "A":
+        return [0] + admissible_cells_model_a(nh)
+    side = 3 * nh // 4
+    return [r * r for r in range(1, 13) if side % r == 0]
+
+
+@st.composite
+def _random_case(draw):
+    model = draw(st.sampled_from(["A", "B"]))
+    nh = draw(st.sampled_from([8, 16, 32]))
+    n_cells = draw(st.sampled_from(_admissible_cells(model, nh)))
+    tau = draw(st.floats(1e-6, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    sigma = np.random.default_rng(seed).uniform(0.1, 10.0, n_cells + 1)
+    return model, nh, n_cells, ProblemConfig(tau=tau, sigma=sigma)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_random_case())
+def test_global_system_properties(case):
+    model, nh, n_cells, config = case
+    mesh = build_mesh(nh)
+    labeling = label_model_a(mesh, n_cells) if model == "A" else label_model_b(mesh, n_cells)
+    dofmap = build_dofmap(mesh, labeling)
+    system = build_system(assemble_operators(mesh, labeling, dofmap, config))
+    A = system.matrix
+    # bitwise symmetric
+    assert (A != A.T).nnz == 0
+    # the constant is in the kernel of the unpinned system
+    row_norms = np.asarray(abs(A).sum(axis=1)).ravel()
+    assert np.all(np.abs(A @ np.ones(system.n)) <= 1e-12 * row_norms)
+    # the pinned system factors, and its probe solve meets the residual check
+    pin_nullspace(system, probe=True)
+    if model == "A":
+        f = build_arrowhead_factors(system)
+        assert (f.base + f.outer @ f.inner != A).nnz == 0
