@@ -69,10 +69,6 @@ class ProblemConfig:
         if not (self.epsilon > 0) or not np.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
-    def tau_i(self, i: int) -> float:
-        sigma = np.asarray(self.sigma)
-        return float(self.tau * (sigma if sigma.ndim == 0 else sigma[i]))
-
     def tau_per_dof(self, block_sizes: np.ndarray) -> np.ndarray:
         """``tau_i`` repeated over the dofs of every block i.
 

@@ -27,9 +27,9 @@ from .meshgen import (
     SubdomainLabeling,
     build_dofmap,
     build_mesh,
+    check_compatible,
     label_model_a,
     label_model_b,
-    model_a_scale,
 )
 from .solvers import (
     AmgPreconditioner,
@@ -102,24 +102,6 @@ class ExperimentSpec:
         for nh in self.nh_list:
             for n_cells in self.cells_list:
                 check_compatible(self.model, int(nh), int(n_cells))
-
-
-def check_compatible(model: str, nh: int, n_cells: int) -> None:
-    """Validate an (nh, N) pair without building the mesh."""
-    if nh < 4 or (nh & (nh - 1)) != 0:
-        raise GeometryError(f"nh must be a power of two >= 4, got {nh}")
-    if n_cells == 0:
-        return
-    if model == "A":
-        scale = model_a_scale(n_cells)
-        if nh % scale != 0:
-            raise GeometryError(f"model A: scale {scale} does not divide nh={nh}")
-    else:
-        root = int(round(np.sqrt(n_cells)))
-        if root * root != n_cells:
-            raise GeometryError(f"model B: N={n_cells} is not a perfect square")
-        if nh % 8 != 0 or (3 * nh // 4) % root != 0:
-            raise GeometryError(f"model B: N={n_cells} incompatible with nh={nh}")
 
 
 def _parse_value(key: str, raw: str):

@@ -24,14 +24,17 @@ __all__ = [
 CSV_HEADER = "model,N,nh,tau,eps,solver,iterations,relres,seconds,n,n0,nGamma"
 
 
-def write_matrix_market(matrix, path, symmetric: bool = True) -> None:
-    """Coordinate-format export; symmetric matrices store the lower triangle.
+def write_matrix_market(matrix, path) -> None:
+    """Coordinate-format export.
 
-    Rectangular inputs (coupling blocks) always use the general format.
+    A square matrix exactly equal to its transpose is written "symmetric"
+    (lower triangle only); any other matrix, e.g. a coupling block, "general".
     """
-    matrix = sp.coo_matrix(matrix)
-    symmetry = "symmetric" if symmetric and matrix.shape[0] == matrix.shape[1] else "general"
-    sio.mmwrite(str(path), matrix, field="real", symmetry=symmetry)
+    matrix = sp.csr_matrix(matrix)
+    rows, cols = matrix.shape
+    symmetric = rows == cols and (matrix != matrix.T).nnz == 0
+    symmetry = "symmetric" if symmetric else "general"
+    sio.mmwrite(str(path), matrix.tocoo(), field="real", symmetry=symmetry)
 
 
 def read_matrix_market(path) -> sp.csr_matrix:

@@ -30,6 +30,7 @@ __all__ = [
     "label_model_a",
     "label_model_b",
     "build_dofmap",
+    "check_compatible",
     "model_a_scale",
     "admissible_cells_model_a",
 ]
@@ -176,8 +177,7 @@ def build_mesh(nh: int) -> StructuredMesh:
     ``nh`` must be a power of two and at least 4 so that the model geometries
     can align with grid lines.
     """
-    if nh < 4 or not _is_power_of_two(nh):
-        raise GeometryError(f"nh must be a power of two >= 4, got {nh}")
+    check_compatible(None, nh, 0)  # a bare mesh: nh alone
     ticks = np.arange(nh + 1) / nh
     x, y = np.meshgrid(ticks, ticks, indexing="xy")
     vertices = np.column_stack([x.ravel(), y.ravel()])
@@ -207,6 +207,38 @@ def model_a_scale(n_cells: int) -> int:
             f"model A cell count must be of the form ((4^k-1)/3)^2; got N={n_cells}"
         )
     return scale
+
+
+def check_compatible(model: str | None, nh: int, n_cells: int) -> None:
+    """Reject an inadmissible (model, nh, N) triple without building a mesh.
+
+    nh must be a power of two >= 4; that is all N = 0 (or a bare mesh,
+    ``model=None``) needs.  Model A also needs its scale 3*sqrt(N)+1 to
+    divide nh; model B needs a square N, 8 | nh and sqrt(N) | 3*nh/4.
+    """
+    if nh < 4 or not _is_power_of_two(nh):
+        raise GeometryError(f"nh must be a power of two >= 4, got {nh}")
+    if n_cells < 0:
+        raise GeometryError(f"the cell count must not be negative, got {n_cells}")
+    if n_cells == 0:
+        return
+    if model == "A":
+        scale = model_a_scale(n_cells)
+        if nh % scale != 0:
+            raise GeometryError(
+                f"model A with N={n_cells} needs scale {scale} | nh, got nh={nh}"
+            )
+        return
+    root = int(round(np.sqrt(n_cells)))
+    if root * root != n_cells:
+        raise GeometryError(f"model B requires a square cell count, got {n_cells}")
+    if nh % 8 != 0:
+        raise GeometryError(f"model B needs 8 | nh, got nh={nh}")
+    side_cells = 3 * nh // 4  # mesh cells across the intracellular block
+    if side_cells % root != 0:
+        raise GeometryError(
+            f"model B with N={n_cells} needs sqrt(N) | 3*nh/4 = {side_cells}"
+        )
 
 
 def admissible_cells_model_a(nh: int) -> list[int]:
@@ -250,14 +282,11 @@ def label_model_a(mesh: StructuredMesh, n_cells: int) -> SubdomainLabeling:
     lower-left.  The scale s must divide nh so that membranes follow mesh
     lines.
     """
+    check_compatible("A", mesh.nh, n_cells)
     if n_cells == 0:
         cell_of = np.zeros(mesh.n_triangles, dtype=np.int64)
         return SubdomainLabeling("A", 0, cell_of, np.empty((0, 4), dtype=np.int64))
     scale = model_a_scale(n_cells)
-    if mesh.nh % scale != 0:
-        raise GeometryError(
-            f"model A with N={n_cells} needs scale {scale} | nh, got nh={mesh.nh}"
-        )
     root = int(round(np.sqrt(n_cells)))
     bary = mesh.barycenters()
     psi = np.mod(bary * scale, 3.0)
@@ -282,19 +311,11 @@ def label_model_b(mesh: StructuredMesh, n_cells: int) -> SubdomainLabeling:
     are gap junctions between pairs of cells; the scale must align every cell
     edge with mesh lines.
     """
+    check_compatible("B", mesh.nh, n_cells)
     if n_cells == 0:
         cell_of = np.zeros(mesh.n_triangles, dtype=np.int64)
         return SubdomainLabeling("B", 0, cell_of, np.empty((0, 4), dtype=np.int64))
     root = int(round(np.sqrt(n_cells)))
-    if root * root != n_cells:
-        raise GeometryError(f"model B requires a square cell count, got {n_cells}")
-    if mesh.nh % 8 != 0:
-        raise GeometryError(f"model B needs 8 | nh, got nh={mesh.nh}")
-    side_cells = 3 * mesh.nh // 4  # mesh cells across the intracellular block
-    if side_cells % root != 0:
-        raise GeometryError(
-            f"model B with N={n_cells} needs sqrt(N) | 3*nh/4 = {side_cells}"
-        )
     bary = mesh.barycenters()
     inside = ((bary > 0.125) & (bary < 0.875)).all(axis=1)
     width = 0.75 / root

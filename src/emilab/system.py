@@ -12,7 +12,7 @@ dense capacitance systems make them practical only at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -54,7 +54,6 @@ class BlockSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    block_ranges: list  # (start, length) per subdomain
     config: ProblemConfig
     model: str
     dofmap: DofMap
@@ -63,9 +62,6 @@ class BlockSystem:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def block(self, i: int, j: int) -> sp.csr_matrix:
-        return self.dofmap.block(self.matrix, i, j)
 
 
 @dataclass
@@ -112,11 +108,9 @@ def build_system(operators: OperatorSet) -> BlockSystem:
         operators.config.tau_per_dof(dofmap.block_sizes), np.diff(scaled.indptr)
     )
     matrix = (scaled + operators.membrane_mass + operators.coupling).tocsr()
-    starts, sizes = dofmap.block_start, dofmap.block_sizes
     return BlockSystem(
         matrix=matrix,
         rhs=operators.rhs,
-        block_ranges=[(int(s), int(l)) for s, l in zip(starts, sizes)],
         config=operators.config,
         model=operators.model,
         dofmap=dofmap,
@@ -124,9 +118,15 @@ def build_system(operators: OperatorSet) -> BlockSystem:
 
 
 def block_diagonal(system: BlockSystem) -> sp.csr_matrix:
-    """The diagonal blocks of the global matrix, placed on its diagonal."""
-    n_sub = len(system.block_ranges)
-    return sp.block_diag([system.block(i, i) for i in range(n_sub)], format="csr")
+    """The diagonal blocks of the global matrix, placed on its diagonal.
+
+    Keeps the stored entries whose row and column dofs share a subdomain.
+    """
+    a = system.matrix
+    sub = system.dofmap.subdomain
+    keep = np.repeat(sub, np.diff(a.indptr)) == sub[a.indices]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[a.indptr]
+    return sp.csr_matrix((a.data[keep], a.indices[keep], indptr), shape=a.shape)
 
 
 def pin_nullspace(system: BlockSystem, probe: bool = False) -> BlockSystem:
@@ -137,10 +137,9 @@ def pin_nullspace(system: BlockSystem, probe: bool = False) -> BlockSystem:
     ``probe=True`` a direct factorization checks that the pinned matrix is
     nonsingular.
     """
-    dofmap = system.dofmap
-    s0, l0 = system.block_ranges[0]
-    # vertex ids increase with y then x, so the smallest id is nearest (0,0)
-    pinned = s0 + int(np.argmin(dofmap.vertex[s0 : s0 + l0]))
+    # block 0 starts at dof 0, and vertex ids increase with y then x, so its
+    # smallest vertex id is the dof nearest (0,0)
+    pinned = int(np.argmin(system.dofmap.block(system.dofmap.vertex, 0)))
 
     coo = system.matrix.tocoo()
     keep = (coo.row != pinned) & (coo.col != pinned)
@@ -157,15 +156,7 @@ def pin_nullspace(system: BlockSystem, probe: bool = False) -> BlockSystem:
     matrix.sort_indices()
     rhs = system.rhs.copy()
     rhs[pinned] = 0.0
-    out = BlockSystem(
-        matrix=matrix,
-        rhs=rhs,
-        block_ranges=system.block_ranges,
-        config=system.config,
-        model=system.model,
-        dofmap=dofmap,
-        pinned_dof=pinned,
-    )
+    out = replace(system, matrix=matrix, rhs=rhs, pinned_dof=pinned)
     if probe:
         x = solve_direct(out)
         res = np.linalg.norm(out.matrix @ x - out.rhs)
@@ -189,34 +180,17 @@ def build_arrowhead_factors(system: BlockSystem) -> ArrowheadFactors:
     """
     if system.model != "A":
         raise ArrowheadError("the arrowhead split exists only for model A")
-    n = system.n
-    n_sub = len(system.block_ranges)
-    n_cells = n_sub - 1
-    s0, n0 = system.block_ranges[0]
+    dofmap = system.dofmap
+    n, n0, n_cells = system.n, dofmap.n0, dofmap.n_subdomains - 1
     base = block_diagonal(system)
 
-    # outer = [[I, 0], [0, B_i^T]],  inner = [[0, B_1 .. B_N], [I, 0 .. 0]]
-    o_rows, o_cols, o_vals = [np.arange(n0)], [np.arange(n0)], [np.ones(n0)]
-    i_rows, i_cols, i_vals = [np.arange(n0) + n0], [np.arange(n0)], [np.ones(n0)]
-    for i in range(1, n_sub):
-        si, li = system.block_ranges[i]
-        b_i = system.matrix[s0 : s0 + n0, si : si + li].tocoo()  # B_i, n0 x n_i
-        o_rows.append(b_i.col + si)
-        o_cols.append(b_i.row + n0)
-        o_vals.append(b_i.data)
-        i_rows.append(b_i.row)
-        i_cols.append(b_i.col + si)
-        i_vals.append(b_i.data)
-    outer = sp.coo_matrix(
-        (np.concatenate(o_vals), (np.concatenate(o_rows), np.concatenate(o_cols))),
-        shape=(n, 2 * n0),
-    ).tocsr()
-    inner = sp.coo_matrix(
-        (np.concatenate(i_vals), (np.concatenate(i_rows), np.concatenate(i_cols))),
-        shape=(2 * n0, n),
-    ).tocsr()
+    # outer = [[I, 0], [0, C^T]],  inner = [[0, C], [I, 0]],  C = [B_1 .. B_N]
+    eye0 = sp.identity(n0, format="csr")
+    c = system.matrix[:n0, n0:]
+    outer = sp.bmat([[eye0, None], [None, c.T]], format="csr")
+    inner = sp.bmat([[None, c], [eye0, None]], format="csr")
 
-    first_dofs = np.array([system.block_ranges[i][0] for i in range(1, n_sub)], dtype=np.int64)
+    first_dofs = dofmap.block_start[1:-1]
     unit = sp.coo_matrix(
         (np.ones(n_cells), (first_dofs, first_dofs)), shape=(n, n)
     ).tocsr()
@@ -224,24 +198,11 @@ def build_arrowhead_factors(system: BlockSystem) -> ArrowheadFactors:
 
     # augmented factors: extra columns carry +e_i, extra rows -e_i, so the
     # unit correction cancels exactly in base_full + outer_aug @ inner_aug
-    width = 2 * n0 + n_cells
-    o2 = outer.tocoo()
-    extra_cols = np.arange(n_cells) + 2 * n0
-    outer_aug = sp.coo_matrix(
-        (
-            np.concatenate([o2.data, np.ones(n_cells)]),
-            (np.concatenate([o2.row, first_dofs]), np.concatenate([o2.col, extra_cols])),
-        ),
-        shape=(n, width),
-    ).tocsr()
-    i2 = inner.tocoo()
-    inner_aug = sp.coo_matrix(
-        (
-            np.concatenate([i2.data, -np.ones(n_cells)]),
-            (np.concatenate([i2.row, extra_cols]), np.concatenate([i2.col, first_dofs])),
-        ),
-        shape=(width, n),
-    ).tocsr()
+    picks = sp.coo_matrix(
+        (np.ones(n_cells), (first_dofs, np.arange(n_cells))), shape=(n, n_cells)
+    )
+    outer_aug = sp.hstack([outer, picks], format="csr")
+    inner_aug = sp.vstack([inner, -picks.T], format="csr")
 
     return ArrowheadFactors(
         matrix=system.matrix,
@@ -347,16 +308,15 @@ def build_scaled(
     membrane terms as a vanishing-rank perturbation.  Explicit factors, e.g.
     h_i/sqrt(tau_i), may be passed instead.
     """
-    n_sub = len(system.block_ranges)
+    sizes = system.dofmap.block_sizes
     if scale_factors is None:
-        scale_factors = np.array(
-            [1.0 / np.sqrt(system.config.tau_i(i)) for i in range(n_sub)]
-        )
+        # tau_i over one dof per block
+        scale_factors = 1.0 / np.sqrt(system.config.tau_per_dof(np.ones_like(sizes)))
     else:
         scale_factors = np.asarray(scale_factors, dtype=float)
-        if scale_factors.shape != (n_sub,):
+        if scale_factors.shape != sizes.shape:
             raise ValueError("need one scale factor per subdomain block")
-    per_dof = np.repeat(scale_factors, [li for _, li in system.block_ranges])
+    per_dof = np.repeat(scale_factors, sizes)
     coo = system.matrix.tocoo()
     data = coo.data * (per_dof[coo.row] * per_dof[coo.col])
     matrix = sp.coo_matrix((data, (coo.row, coo.col)), shape=coo.shape).tocsr()

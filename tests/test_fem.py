@@ -285,7 +285,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProblemConfig(tau=0.01, epsilon=0.0)
     cfg = ProblemConfig(tau=0.5, sigma=np.array([2.0, 3.0]))
-    assert cfg.tau_i(1) == pytest.approx(1.5)
+    assert np.array_equal(cfg.tau_per_dof(np.array([2, 3])), [1.0, 1.0, 1.5, 1.5, 1.5])
 
 
 def test_default_stimulus_shape():
@@ -385,9 +385,10 @@ def _ref_system(ref, dofmap, config):
     """Global matrix and rhs placed from the reference blocks."""
     stiffness, membrane, _, coupling, rhs = ref
     starts, n = dofmap.block_start, dofmap.n
+    sigma = np.broadcast_to(config.sigma, (dofmap.n_subdomains,))
     rows, cols, vals = [], [], []
     for i in range(dofmap.n_subdomains):
-        d_i = (config.tau_i(i) * stiffness[i] + membrane[i]).tocoo()
+        d_i = (config.tau * sigma[i] * stiffness[i] + membrane[i]).tocoo()
         rows.append(d_i.row + starts[i])
         cols.append(d_i.col + starts[i])
         vals.append(d_i.data)
@@ -408,7 +409,8 @@ def _ref_blockdiag(ref, dofmap, config, eps):
     stiffness, _, bulk, _, _ = ref
     n_sub = dofmap.n_subdomains
     P = sp.block_diag([stiffness[i] + eps * bulk[i] for i in range(n_sub)], format="csr")
-    row_tau = np.repeat([config.tau_i(i) for i in range(n_sub)], dofmap.block_sizes)
+    sigma = np.broadcast_to(config.sigma, (n_sub,))
+    row_tau = np.repeat([config.tau * sigma[i] for i in range(n_sub)], dofmap.block_sizes)
     P.data *= np.repeat(row_tau, np.diff(P.indptr))
     return P
 

@@ -13,8 +13,14 @@ from emilab.harness import (
     run_spectral_suite,
     run_table,
 )
-from emilab.io import CSV_HEADER, read_matrix_market, read_vector
-from emilab.meshgen import build_dofmap, build_mesh, label_model_a
+from emilab.io import CSV_HEADER, read_matrix_market, read_vector, write_matrix_market
+from emilab.meshgen import (
+    GeometryError,
+    build_dofmap,
+    build_mesh,
+    label_model_a,
+    label_model_b,
+)
 from emilab.solvers import SolverConfig
 
 
@@ -296,8 +302,6 @@ def test_cli_assemble_export_roundtrip(tmp_path, capsys):
 
 def test_operator_export_roundtrip(tmp_path):
     """Every assembled block is exportable; rectangular blocks go out general."""
-    from emilab.io import write_matrix_market
-
     case = build_case("A", 16, 1, 0.01)
     ops = case.operators
     for name, mat in (
@@ -310,6 +314,21 @@ def test_operator_export_roundtrip(tmp_path):
         back = read_matrix_market(path)
         assert abs(back - mat).max() <= 1e-15
     assert "general" in (tmp_path / "coupling.mtx").read_text().splitlines()[0]
+
+
+def test_matrix_market_square_nonsymmetric_goes_out_general(tmp_path):
+    """A square gap-junction block is not symmetric: no half of it may be lost."""
+    case = build_case("B", 16, 4, 0.01)
+    block = case.dofmap.block(case.operators.coupling, 1, 2)
+    assert block.shape == (49, 49) and (block != block.T).nnz > 0
+    path = tmp_path / "gap.mtx"
+    write_matrix_market(block, path)
+    assert "general" in path.read_text().splitlines()[0]
+    assert (read_matrix_market(path) != block).nnz == 0
+    # the pinned system matrix is symmetric and keeps the compact header
+    write_matrix_market(case.system.matrix, path)
+    assert "symmetric" in path.read_text().splitlines()[0]
+    assert (read_matrix_market(path) != case.system.matrix).nnz == 0
 
 
 def test_cli_solve_imported_system(tmp_path, capsys):
@@ -338,3 +357,48 @@ def test_cli_spectra(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "szego" in out and "scaled" in out
+
+
+_ADMISSIBILITY = [
+    ("A", 8, 1, True),
+    ("A", 16, 25, True),
+    ("A", 64, 441, True),
+    ("A", 32, 0, True),
+    ("A", 12, 1, False),  # nh not a power of two
+    ("A", 2, 0, False),  # nh below 4
+    ("A", 8, 25, False),  # scale 16 does not divide nh
+    ("A", 16, 4, False),  # N not of the form ((4^k-1)/3)^2
+    ("A", 16, 2, False),  # N not a square
+    ("A", 16, -1, False),
+    ("B", 16, 4, True),
+    ("B", 16, 9, True),
+    ("B", 64, 144, True),
+    ("B", 8, 0, True),
+    ("B", 4, 1, False),  # 8 does not divide nh
+    ("B", 16, 25, False),  # sqrt(N) does not divide 3*nh/4
+    ("B", 16, 2, False),  # N not a square
+    ("B", 16, -4, False),
+]
+
+
+@pytest.mark.parametrize("model,nh,n_cells,admissible", _ADMISSIBILITY)
+def test_spec_and_labelers_share_admissibility(model, nh, n_cells, admissible, capsys):
+    label = label_model_a if model == "A" else label_model_b
+
+    def spec():
+        return ExperimentSpec(model=model, nh_list=(nh,), cells_list=(n_cells,))
+
+    def labeling():
+        return label(build_mesh(nh), n_cells)
+
+    if admissible:
+        spec()
+        assert labeling().n_cells == n_cells
+        return
+    with pytest.raises(GeometryError) as from_spec:
+        spec()
+    with pytest.raises(GeometryError) as from_labeler:
+        labeling()
+    assert str(from_spec.value) == str(from_labeler.value)
+    cli = ["mesh", "--model", model, "--nh", str(nh), f"--cells={n_cells}"]
+    assert main(cli) == 2

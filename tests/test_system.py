@@ -43,15 +43,22 @@ def _system(model, nh, n_cells, tau=0.01, pin=False):
     return system, ops, mesh
 
 
+def _assert_same_csr(got, want):
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
 def test_block_structure():
     system, ops, _ = _system("A", 16, 1)
     cfg = ops.config
     dofmap = ops.dofmap
     d1 = (
-        cfg.tau_i(1) * dofmap.block(ops.stiffness, 1) + dofmap.block(ops.membrane_mass, 1)
+        cfg.tau * cfg.sigma * dofmap.block(ops.stiffness, 1)
+        + dofmap.block(ops.membrane_mass, 1)
     ).tocsr()
-    assert abs(system.block(1, 1) - d1).max() == 0.0
-    assert abs(system.block(0, 1) - dofmap.block(ops.coupling, 0, 1)).max() == 0.0
+    assert abs(dofmap.block(system.matrix, 1) - d1).max() == 0.0
+    b01 = dofmap.block(system.matrix, 0, 1)
+    assert abs(b01 - dofmap.block(ops.coupling, 0, 1)).max() == 0.0
     assert abs(system.matrix - system.matrix.T).max() == 0.0
 
 
@@ -59,19 +66,17 @@ def test_model_a_blocks_are_arrowhead():
     system, _, _ = _system("A", 32, 25)
     for i in range(1, 6):
         for j in range(i + 1, 6):
-            assert system.block(i, j).nnz == 0
+            assert system.dofmap.block(system.matrix, i, j).nnz == 0
 
 
 def test_block_diagonal_model_b_gap_junctions():
     system, _, _ = _system("B", 16, 4)
+    dofmap = system.dofmap
     diag = block_diagonal(system)
-    for i, (s, length) in enumerate(system.block_ranges):
-        got, want = diag[s : s + length, s : s + length], system.block(i, i)
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
     rest = (system.matrix - diag).tocsr()
-    for s, length in system.block_ranges:
-        assert rest[s : s + length, s : s + length].nnz == 0
+    for i in range(dofmap.n_subdomains):
+        _assert_same_csr(dofmap.block(diag, i), dofmap.block(system.matrix, i))
+        assert dofmap.block(rest, i).nnz == 0
     assert rest.nnz > 0
 
 
@@ -96,7 +101,7 @@ def test_per_subdomain_conductivities():
     ops = assemble_operators(mesh, labeling, dofmap, config)
     system = build_system(ops)
     d1 = (1.5 * dofmap.block(ops.stiffness, 1) + dofmap.block(ops.membrane_mass, 1)).tocsr()
-    assert abs(system.block(1, 1) - d1).max() == 0.0
+    assert abs(dofmap.block(system.matrix, 1) - d1).max() == 0.0
     scaled = build_scaled(system)
     assert np.allclose(scaled.scale_factors, [1 / np.sqrt(1.0), 1 / np.sqrt(1.5)])
 
@@ -151,7 +156,7 @@ def test_pin_probe_reports_nonsingular():
 def test_arrowhead_reconstruction_exact(nh, n_cells):
     system, _, _ = _system("A", nh, n_cells, pin=True)
     f = build_arrowhead_factors(system)
-    n0 = system.block_ranges[0][1]
+    n0 = system.dofmap.n0
     assert f.outer.shape == (system.n, 2 * n0)
     assert f.inner.shape == (2 * n0, system.n)
     low_rank = (f.outer @ f.inner).tocsr()
@@ -239,7 +244,7 @@ def test_smw_exact_zero_rhs():
 def test_smw_capacitance_width():
     system, _, _ = _system("A", 16, 1, pin=True)
     f = build_arrowhead_factors(system)
-    n0 = system.block_ranges[0][1]
+    n0 = system.dofmap.n0
     assert f.outer_aug.shape[1] == 2 * n0 + 1
     assert f.inner_aug.shape[0] == 2 * n0 + 1
 
@@ -270,10 +275,10 @@ def test_scaled_default_is_symbol_normalized():
     """Default scaling divides by sqrt(tau): bulk becomes the plain stiffness."""
     system, ops, _ = _system("A", 8, 1)
     scaled = build_scaled(system)
-    s0, l0 = system.block_ranges[0]
-    bulk = scaled.matrix[s0 : s0 + l0, s0 : s0 + l0]
-    interior = ~system.dofmap.is_membrane[s0 : s0 + l0]
-    a0 = ops.dofmap.block(ops.stiffness, 0)
+    dofmap = system.dofmap
+    bulk = dofmap.block(scaled.matrix, 0)
+    interior = ~dofmap.block(dofmap.is_membrane, 0)
+    a0 = dofmap.block(ops.stiffness, 0)
     diff = (bulk - a0).toarray()[np.ix_(interior, interior)]
     assert np.abs(diff).max() <= 1e-12
 
@@ -285,10 +290,7 @@ def test_scaled_spectrum_split():
     dense = scaled.matrix.toarray()
     eigs = np.linalg.eigvalsh(dense)
     # split off the block-diagonal bulk part
-    bulk = np.zeros_like(dense)
-    for s, l in system.block_ranges:
-        tau_blk = system.config.tau
-        bulk[s : s + l, s : s + l] = dense[s : s + l, s : s + l]
+    bulk = _same_block(system, dense)
     pert_norm = np.linalg.norm(dense - bulk, 2)
     mem_norm = np.abs(
         np.linalg.eigvalsh(bulk - _pure_stiffness_blockdiag(system))
@@ -298,13 +300,14 @@ def test_scaled_spectrum_split():
     print(f"scaled spectrum: [{eigs.min():.3e}, {eigs.max():.6f}]")
 
 
+def _same_block(system, dense):
+    """The entries of a dense n x n array whose row and column share a block."""
+    sub = system.dofmap.subdomain
+    return np.where(sub[:, None] == sub[None, :], dense, 0.0)
+
+
 def _pure_stiffness_blockdiag(system):
-    out = np.zeros((system.n, system.n))
-    scaled = build_scaled(system)
-    dense = scaled.matrix.toarray()
-    for idx, (s, l) in enumerate(system.block_ranges):
-        blk = dense[s : s + l, s : s + l].copy()
-        out[s : s + l, s : s + l] = blk
+    out = _same_block(system, build_scaled(system).matrix.toarray())
     # remove the scaled membrane mass by zeroing membrane-membrane couplings
     mem = system.dofmap.is_membrane
     out[np.ix_(mem, mem)] = 0.0
@@ -457,3 +460,112 @@ def test_global_system_properties(case):
     if model == "A":
         f = build_arrowhead_factors(system)
         assert (f.base + f.outer @ f.inner != A).nnz == 0
+
+
+# ---------------------------------------------------------------------------
+# Block-by-block references: sp.block_diag over the N+1 diagonal blocks and
+# the arrowhead split sliced one cell at a time.  The masked block diagonal
+# and the one-slice split must reproduce them bitwise.
+
+
+def _block_diag_reference(system):
+    dofmap = system.dofmap
+    blocks = [dofmap.block(system.matrix, i) for i in range(dofmap.n_subdomains)]
+    return sp.block_diag(blocks, format="csr")
+
+
+def _arrowhead_reference(system):
+    dofmap = system.dofmap
+    n, n0, n_sub = system.n, dofmap.n0, dofmap.n_subdomains
+    n_cells = n_sub - 1
+    base = _block_diag_reference(system)
+    o_rows, o_cols, o_vals = [np.arange(n0)], [np.arange(n0)], [np.ones(n0)]
+    i_rows, i_cols, i_vals = [np.arange(n0) + n0], [np.arange(n0)], [np.ones(n0)]
+    for i in range(1, n_sub):
+        si, ei = dofmap.block_range(i)
+        b_i = system.matrix[:n0, si:ei].tocoo()
+        o_rows.append(b_i.col + si)
+        o_cols.append(b_i.row + n0)
+        o_vals.append(b_i.data)
+        i_rows.append(b_i.row)
+        i_cols.append(b_i.col + si)
+        i_vals.append(b_i.data)
+    outer = sp.coo_matrix(
+        (np.concatenate(o_vals), (np.concatenate(o_rows), np.concatenate(o_cols))),
+        shape=(n, 2 * n0),
+    ).tocsr()
+    inner = sp.coo_matrix(
+        (np.concatenate(i_vals), (np.concatenate(i_rows), np.concatenate(i_cols))),
+        shape=(2 * n0, n),
+    ).tocsr()
+    first = np.array([dofmap.block_range(i)[0] for i in range(1, n_sub)], dtype=np.int64)
+    unit = sp.coo_matrix((np.ones(n_cells), (first, first)), shape=(n, n)).tocsr()
+    extra = np.arange(n_cells) + 2 * n0
+    o2, i2 = outer.tocoo(), inner.tocoo()
+    outer_aug = sp.coo_matrix(
+        (
+            np.concatenate([o2.data, np.ones(n_cells)]),
+            (np.concatenate([o2.row, first]), np.concatenate([o2.col, extra])),
+        ),
+        shape=(n, 2 * n0 + n_cells),
+    ).tocsr()
+    inner_aug = sp.coo_matrix(
+        (
+            np.concatenate([i2.data, -np.ones(n_cells)]),
+            (np.concatenate([i2.row, extra]), np.concatenate([i2.col, first])),
+        ),
+        shape=(2 * n0 + n_cells, n),
+    ).tocsr()
+    return {
+        "base": base,
+        "outer": outer,
+        "inner": inner,
+        "unit_correction": unit,
+        "base_full": (base + unit).tocsr(),
+        "outer_aug": outer_aug,
+        "inner_aug": inner_aug,
+    }
+
+
+def _unpinned_and_pinned(model, nh, n_cells, config):
+    mesh = build_mesh(nh)
+    labeling = label_model_a(mesh, n_cells) if model == "A" else label_model_b(mesh, n_cells)
+    dofmap = build_dofmap(mesh, labeling)
+    system = build_system(assemble_operators(mesh, labeling, dofmap, config))
+    return system, pin_nullspace(system)
+
+
+@pytest.mark.parametrize(
+    "model,nh,n_cells",
+    [
+        ("A", 16, 1),
+        ("A", 32, 25),
+        ("A", 64, 441),
+        ("B", 64, 144),
+        ("B", 128, 16),
+        ("A", 256, 7225),
+    ],
+)
+def test_block_diagonal_matches_block_diag_reference(model, nh, n_cells):
+    for system in _unpinned_and_pinned(model, nh, n_cells, ProblemConfig(tau=1e-5)):
+        _assert_same_csr(block_diagonal(system), _block_diag_reference(system))
+
+
+_ARROWHEAD_CASES = [
+    (nh, n_cells, ProblemConfig(tau=tau))
+    for nh, n_cells in ((16, 1), (32, 25), (64, 441))
+    for tau in (1e-2, 1e-5)
+] + [(16, 1, ProblemConfig(tau=1e-2, sigma=[2.0, 3.0]))]
+
+
+@pytest.mark.parametrize(
+    "nh,n_cells,config",
+    _ARROWHEAD_CASES,
+    ids=[f"A-{nh}-{n}-{c.tau:g}-{np.size(c.sigma)}" for nh, n, c in _ARROWHEAD_CASES],
+)
+def test_arrowhead_factors_match_per_cell_reference(nh, n_cells, config):
+    for system in _unpinned_and_pinned("A", nh, n_cells, config):
+        _assert_same_csr(block_diagonal(system), _block_diag_reference(system))
+        got = build_arrowhead_factors(system)
+        for name, want in _arrowhead_reference(system).items():
+            _assert_same_csr(getattr(got, name), want)
