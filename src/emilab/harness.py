@@ -269,7 +269,7 @@ def run_table(spec: ExperimentSpec, kind: str) -> list:
     return rows
 
 
-def run_spectral_suite(spec: ExperimentSpec, samples_per_axis: int = 128) -> dict:
+def run_spectral_suite(spec: ExperimentSpec) -> dict:
     """Distribution reports over the nh list for the first cell count.
 
     Emits, per size: the scaled-matrix comparison against the stiffness
@@ -297,9 +297,7 @@ def run_spectral_suite(spec: ExperimentSpec, samples_per_axis: int = 128) -> dic
 
         record(
             "scaled", nh,
-            lambda: distribution_distance(
-                eig_rearranged(build_scaled(system).matrix), symbol, samples_per_axis
-            ),
+            lambda: distribution_distance(eig_rearranged(build_scaled(system)), symbol),
         )
 
         def offdiag_stats():
@@ -317,15 +315,14 @@ def run_spectral_suite(spec: ExperimentSpec, samples_per_axis: int = 128) -> dic
             gen_eigs = la.eigh(
                 system.matrix.toarray(), prec.matrix.toarray(), eigvals_only=True
             )
-            return distribution_distance(np.sort(gen_eigs), constant_symbol(1.0), delta=0.1)
+            return distribution_distance(np.sort(gen_eigs), constant_symbol(1.0))
 
         record("preconditioned", nh, preconditioned_report)
 
         record(
             "szego", nh,
             lambda: distribution_distance(
-                eig_rearranged(toeplitz_from_symbol(symbol, (nh, nh))),
-                symbol, samples_per_axis,
+                eig_rearranged(toeplitz_from_symbol(symbol, (nh, nh))), symbol
             ),
         )
 
@@ -341,11 +338,10 @@ def run_spectral_suite(spec: ExperimentSpec, samples_per_axis: int = 128) -> dic
                 else:
                     summary[kind].append({"nh": nh, **rep.summary()})
                     lines = ["eigenvalue_quantile,symbol_quantile"]
-                    m = len(rep.symbol_quantiles)
-                    eq = np.quantile(
-                        rep.sorted_eigs, (np.arange(m) + 0.5) / m, method="linear"
-                    )
-                    lines += [f"{a:.12e},{b:.12e}" for a, b in zip(eq, rep.symbol_quantiles)]
+                    lines += [
+                        f"{a:.12e},{b:.12e}"
+                        for a, b in zip(rep.eig_quantiles, rep.symbol_quantiles)
+                    ]
                     (outdir / f"spectra_{kind}_nh{nh}.csv").write_text("\n".join(lines) + "\n")
         (outdir / "spectra_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return results

@@ -54,8 +54,7 @@ class SolveReport:
     wall_time: float
     residual_history: list
     converged: bool
-    breakdown: bool = False
-    breakdown_iteration: int | None = None
+    breakdown: bool = False  # stopped at ``iterations`` on nonpositive curvature
 
 
 def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
@@ -90,8 +89,7 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
         if not pAp > 0.0:
             rel = float(np.linalg.norm(b - A @ x) / norm_b)
             return x, SolveReport(
-                it, rel, time.perf_counter() - t0, history, False,
-                breakdown=True, breakdown_iteration=it,
+                it, rel, time.perf_counter() - t0, history, False, breakdown=True
             )
         alpha = rz / pAp
         x += alpha * p
@@ -203,7 +201,10 @@ def _ilu0_sweep(A: sp.csr_matrix) -> tuple[np.ndarray, float]:
     return data, min_piv
 
 
-def ilu0_factor(A, max_shift_tries: int = 6) -> ILU0Preconditioner:
+ILU_SHIFT_TRIES = 6  # factorizations tried: unshifted, then shifts growing 100x
+
+
+def ilu0_factor(A) -> ILU0Preconditioner:
     """ILU(0): L and U inherit the sparsity pattern of A, row by row.
 
     On a (near-)zero pivot the factorization restarts from A plus a small
@@ -215,7 +216,7 @@ def ilu0_factor(A, max_shift_tries: int = 6) -> ILU0Preconditioner:
     scale = float(np.abs(A.data).max()) if A.nnz else 1.0
     piv_tol = 1e-12 * scale
     shift = 0.0
-    for attempt in range(max_shift_tries):
+    for _ in range(ILU_SHIFT_TRIES):
         work = A.copy() if shift == 0.0 else (A + shift * sp.eye(A.shape[0], format="csr")).tocsr()
         work.sort_indices()
         _, min_piv = _ilu0_sweep(work)
@@ -288,8 +289,6 @@ class AmgHierarchy:
     levels: list  # fine-to-coarse AmgLevel entries
     coarse_lu: object
     sizes: list  # matrix sizes, finest first, coarsest last
-    theta: float
-    omega: float
 
 
 def _strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
@@ -344,13 +343,12 @@ def _aggregate(S: sp.csr_matrix) -> tuple[np.ndarray, int]:
     return agg, next_id
 
 
-def amg_build(
-    A,
-    target_coarse: int = 200,
-    theta: float = 0.08,
-    omega: float = 2.0 / 3.0,
-    max_levels: int = 25,
-) -> AmgHierarchy:
+AMG_THETA = 0.08  # strength-of-connection threshold
+AMG_OMEGA = 2.0 / 3.0  # damping of the prolongator's Jacobi smoothing step
+AMG_MAX_LEVELS = 25  # depth cap of the hierarchy
+
+
+def amg_build(A, target_coarse: int = 200) -> AmgHierarchy:
     """Build a smoothed-aggregation hierarchy down to a small dense coarse grid.
 
     Tentative prolongators are piecewise constant over greedy strength-based
@@ -362,8 +360,8 @@ def amg_build(
     A.sort_indices()
     levels: list[AmgLevel] = []
     sizes = [A.shape[0]]
-    while A.shape[0] > target_coarse and len(levels) < max_levels:
-        S = _strength_graph(A, theta)
+    while A.shape[0] > target_coarse and len(levels) < AMG_MAX_LEVELS:
+        S = _strength_graph(A, AMG_THETA)
         agg, n_agg = _aggregate(S)
         if n_agg >= 0.9 * A.shape[0]:
             raise AmgError(
@@ -378,7 +376,7 @@ def amg_build(
         if np.any(d <= 0):
             raise AmgError("matrix has a nonpositive diagonal entry")
         D_inv = sp.diags(1.0 / d)
-        P = (P_t - omega * (D_inv @ (A @ P_t))).tocsr()
+        P = (P_t - AMG_OMEGA * (D_inv @ (A @ P_t))).tocsr()
         A_c = (P.T @ A @ P).tocsr()
         A_c.sort_indices()
         levels.append(
@@ -392,7 +390,7 @@ def amg_build(
         A = A_c
         sizes.append(A.shape[0])
     coarse_lu = la.lu_factor(A.toarray())
-    return AmgHierarchy(levels=levels, coarse_lu=coarse_lu, sizes=sizes, theta=theta, omega=omega)
+    return AmgHierarchy(levels=levels, coarse_lu=coarse_lu, sizes=sizes)
 
 
 def _vcycle(h: AmgHierarchy, k: int, r: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ supported test functions against the corresponding symbol integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.linalg as la
@@ -45,57 +45,45 @@ class LanczosError(RuntimeError):
     """Raised when the Lanczos sweep fails its residual verification."""
 
 
+RANGE_POINTS_PER_AXIS = 256  # midpoint grid that estimates a symbol's range
+LANCZOS_SEED = 7  # seed of the deterministic Lanczos start vector
+RESIDUAL_SAMPLES = 10  # eigenpairs residual-checked per spectrum
+RESIDUAL_TOL = 1e-8  # accepted eigenpair residual, relative to |A|
+MAX_QUANTILES = 1024  # longest quantile vector a distribution report compares
+OUTLIER_DELTA = 0.1  # widening of the symbol range before counting outliers
+QUAD_POINTS = 64  # Gauss-Legendre points per axis of the symbol integrals
+
+
 @dataclass(frozen=True)
 class SymbolFunction:
     """Real trigonometric polynomial on [-pi, pi]^dim.
 
-    ``coeffs`` maps integer offset tuples to Fourier coefficients; a real
-    symmetric symbol has f_{-k} = f_k.  Symbols created from a plain
-    evaluator carry no coefficients and cannot generate Toeplitz matrices.
+    ``coeffs`` maps integer offset tuples to real Fourier coefficients, which
+    must be Hermitian (f_{-k} = f_k) so that the symbol is real and even.
     """
 
     dim: int
-    coeffs: Mapping | None
-    evaluator: Callable | None = None
+    coeffs: Mapping
 
     def __post_init__(self):
-        if self.coeffs is None and self.evaluator is None:
-            raise SpectralError("symbol needs coefficients or an evaluator")
-        if self.coeffs is not None:
-            for k in self.coeffs:
-                if len(k) != self.dim:
-                    raise SpectralError(f"coefficient index {k} has wrong arity")
-
-    @property
-    def bandwidth(self) -> int | None:
-        if self.coeffs is None:
-            return None
-        return max((max(abs(i) for i in k) for k in self.coeffs), default=0)
+        for k, v in self.coeffs.items():
+            if len(k) != self.dim:
+                raise SpectralError(f"coefficient index {k} has wrong arity")
+            if self.coefficient(tuple(-i for i in k)) != v:
+                raise SpectralError(f"coefficients are not Hermitian: f_-k != f_k at k={k}")
 
     def coefficient(self, k: tuple) -> float:
-        if self.coeffs is None:
-            raise SpectralError("symbol has no Fourier coefficients")
         return float(self.coeffs.get(tuple(k), 0.0))
-
-    def is_hermitian(self, tol: float = 1e-14) -> bool:
-        if self.coeffs is None:
-            return False
-        return all(
-            abs(v - self.coeffs.get(tuple(-i for i in k), 0.0)) <= tol
-            for k, v in self.coeffs.items()
-        )
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate on points of shape (..., dim) (or (...,) when dim == 1)."""
         theta = np.asarray(theta, dtype=float)
         if self.dim == 1 and (theta.ndim == 0 or theta.shape[-1] != 1):
             theta = theta[..., None]
-        if self.evaluator is not None:
-            return self.evaluator(theta)
         out = np.zeros(theta.shape[:-1])
         for k, v in self.coeffs.items():
             phase = np.tensordot(theta, np.asarray(k, dtype=float), axes=([-1], [0]))
-            out = out + v * np.cos(phase)  # real symmetric part; sine terms cancel
+            out = out + v * np.cos(phase)  # Hermitian coefficients: sine terms cancel
         return out
 
     def sample(self, points_per_axis: int) -> np.ndarray:
@@ -105,8 +93,8 @@ class SymbolFunction:
         theta = np.stack(grids, axis=-1)
         return self(theta).ravel()
 
-    def range_estimate(self, points_per_axis: int = 256) -> tuple[float, float]:
-        vals = self.sample(points_per_axis)
+    def range_estimate(self) -> tuple[float, float]:
+        vals = self.sample(RANGE_POINTS_PER_AXIS)
         return float(vals.min()), float(vals.max())
 
 
@@ -133,8 +121,6 @@ def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> np.ndarray:
     are ordered with the first index outermost, so for nu = (2, 3) the matrix
     consists of a 2x2 Toeplitz arrangement of 3x3 Toeplitz blocks.
     """
-    if symbol.coeffs is None:
-        raise SpectralError("cannot build a Toeplitz matrix without a finite bandwidth")
     nu = (int(nu),) if np.isscalar(nu) else tuple(int(m) for m in nu)
     if len(nu) != symbol.dim:
         raise SpectralError(f"size multi-index {nu} does not match arity {symbol.dim}")
@@ -152,19 +138,18 @@ def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> np.ndarray:
     return out
 
 
-def _check_symmetric_dense(M: np.ndarray, tol: float = 1e-10):
-    scale = max(np.abs(M).max(), 1.0)
-    if np.abs(M - M.T).max() > tol * scale:
-        raise SpectralError("matrix is not symmetric")
+def _check_residuals(A, vals: np.ndarray, vector, error) -> None:
+    """Verify a sample of eigenpairs ``(vals[i], vector(i))`` against ``A``."""
+    n = len(vals)
+    norm_a = np.abs(vals).max() if n else 0.0
+    for i in np.linspace(0, n - 1, min(RESIDUAL_SAMPLES, n)).astype(int):
+        vec = vector(i)
+        res = np.linalg.norm(A @ vec - vals[i] * vec)
+        if res > RESIDUAL_TOL * max(norm_a, 1e-300):
+            raise error(f"eigenpair residual {res:.2e} exceeds {RESIDUAL_TOL:.0e} * |A|")
 
 
-def lanczos_eigenvalues(
-    A,
-    n_steps: int | None = None,
-    rng_seed: int = 7,
-    residual_samples: int = 10,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
+def lanczos_eigenvalues(A) -> np.ndarray:
     """Full spectrum via Lanczos with full reorthogonalization.
 
     Runs n steps (a complete tridiagonalization) with a deterministic start
@@ -172,15 +157,14 @@ def lanczos_eigenvalues(
     A sample of Ritz pairs is verified against the matrix before returning.
     """
     n = A.shape[0]
-    m = n if n_steps is None else min(n_steps, n)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(LANCZOS_SEED)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    V = np.zeros((n, m))
-    alpha = np.zeros(m)
-    beta = np.zeros(max(m - 1, 0))
+    V = np.zeros((n, n))
+    alpha = np.zeros(n)
+    beta = np.zeros(max(n - 1, 0))
     V[:, 0] = v
-    for j in range(m):
+    for j in range(n):
         w = A @ V[:, j]
         alpha[j] = V[:, j] @ w
         w -= alpha[j] * V[:, j]
@@ -189,7 +173,7 @@ def lanczos_eigenvalues(
         # full reorthogonalization keeps the basis numerically orthonormal
         w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
         w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        if j == m - 1:
+        if j == n - 1:
             break
         nw = np.linalg.norm(w)
         if nw <= 1e-13 * max(abs(alpha[j]), 1.0):
@@ -209,53 +193,26 @@ def lanczos_eigenvalues(
         else:
             V[:, j + 1] = w / nw
             beta[j] = nw
-    if m < n:
-        raise LanczosError("partial sweeps cannot produce the full spectrum")
     eigvals, eigvecs = la.eigh_tridiagonal(alpha, beta)
-    norm_a = np.abs(eigvals).max() if m else 0.0
-    idx = np.linspace(0, m - 1, min(residual_samples, m)).astype(int)
-    for i in idx:
-        vec = V @ eigvecs[:, i]
-        res = np.linalg.norm(A @ vec - eigvals[i] * vec)
-        if res > residual_tol * max(norm_a, 1e-300):
-            raise LanczosError(
-                f"Ritz residual {res:.2e} exceeds {residual_tol:.0e} * |A|"
-            )
+    _check_residuals(A, eigvals, lambda i: V @ eigvecs[:, i], LanczosError)
     return np.sort(eigvals)
 
 
 def eig_rearranged(M, dense_threshold: int = 6000) -> np.ndarray:
-    """Nondecreasing spectrum of a symmetric matrix.
+    """Nondecreasing spectrum of a symmetric matrix, sparse or dense.
 
     Dense solves up to the threshold, afterwards a fully reorthogonalized
     Lanczos sweep; a sample of eigenpairs is residual-checked either way.
     """
-    if sp.issparse(M):
-        scale = np.abs(M).max() if M.nnz else 1.0
-        asym = abs(M - M.T).max() if M.nnz else 0.0
-        if asym > 1e-10 * max(scale, 1.0):
-            raise SpectralError("matrix is not symmetric")
-        n = M.shape[0]
-        if n <= dense_threshold:
-            dense = M.toarray()
-            return _dense_checked_spectrum(dense)
-        return lanczos_eigenvalues(M.tocsr())
-    M = np.asarray(M, dtype=float)
-    _check_symmetric_dense(M)
-    if M.shape[0] <= dense_threshold:
-        return _dense_checked_spectrum(M)
-    return lanczos_eigenvalues(M)
-
-
-def _dense_checked_spectrum(M: np.ndarray, residual_samples: int = 10) -> np.ndarray:
-    vals, vecs = la.eigh(M)
-    n = len(vals)
-    norm_a = np.abs(vals).max() if n else 0.0
-    idx = np.linspace(0, n - 1, min(residual_samples, n)).astype(int)
-    for i in idx:
-        res = np.linalg.norm(M @ vecs[:, i] - vals[i] * vecs[:, i])
-        if res > 1e-8 * max(norm_a, 1e-300):
-            raise SpectralError(f"eigenpair residual {res:.2e} too large")
+    sparse = sp.issparse(M)
+    M = M.tocsr() if sparse else np.asarray(M, dtype=float)
+    if abs(M - M.T).max() > 1e-10 * max(abs(M).max(), 1.0):
+        raise SpectralError("matrix is not symmetric")
+    if M.shape[0] > dense_threshold:
+        return lanczos_eigenvalues(M)
+    dense = M.toarray() if sparse else M
+    vals, vecs = la.eigh(dense)
+    _check_residuals(dense, vals, lambda i: vecs[:, i], SpectralError)
     return vals
 
 
@@ -323,11 +280,11 @@ class DistributionReport:
     """Comparison of a sorted spectrum against symbol samples."""
 
     sorted_eigs: np.ndarray
+    eig_quantiles: np.ndarray
     symbol_quantiles: np.ndarray
     quantile_distance: float
     test_function_gaps: list  # (name, |matrix average - symbol integral|)
     outlier_count: int
-    delta: float
     matrix_size: int
 
     def summary(self) -> dict:
@@ -335,7 +292,7 @@ class DistributionReport:
             "matrix_size": self.matrix_size,
             "quantile_distance": self.quantile_distance,
             "outlier_count": self.outlier_count,
-            "delta": self.delta,
+            "delta": OUTLIER_DELTA,
             "test_function_gaps": {name: gap for name, gap in self.test_function_gaps},
         }
 
@@ -383,14 +340,11 @@ def _test_battery(fmax: float):
     return battery
 
 
-def _symbol_integral_average(symbol, func, points_per_axis: int) -> float:
+def _symbol_integral_average(symbol, func) -> float:
     """(1 / mu(D)) * integral of func(symbol) by tensor Gauss-Legendre."""
     if isinstance(symbol, CombinedSymbol):
-        return sum(
-            w * _symbol_integral_average(f, func, points_per_axis)
-            for f, w in symbol.pieces
-        )
-    nodes, weights = np.polynomial.legendre.leggauss(points_per_axis)
+        return sum(w * _symbol_integral_average(f, func) for f, w in symbol.pieces)
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_POINTS)
     nodes = nodes * np.pi  # [-1, 1] -> [-pi, pi]; weights absorb into the mean
     grids = np.meshgrid(*([nodes] * symbol.dim), indexing="ij")
     theta = np.stack(grids, axis=-1)
@@ -402,27 +356,21 @@ def _symbol_integral_average(symbol, func, points_per_axis: int) -> float:
 
 
 def distribution_distance(
-    eigs: np.ndarray,
-    symbol,
-    samples_per_axis: int = 128,
-    quantile_length: int | None = None,
-    delta: float = 0.1,
-    quad_points: int = 64,
+    eigs: np.ndarray, symbol, samples_per_axis: int = 128
 ) -> DistributionReport:
     """Quantile distance and Weyl test-function gaps between spectrum and symbol.
 
     Both sides are reduced to equal-length midpoint quantile vectors; the
     outlier count tallies eigenvalues outside the symbol range widened by
-    delta on both ends.
+    OUTLIER_DELTA on both ends.
     """
     eigs = np.sort(np.asarray(eigs, dtype=float))
     if isinstance(symbol, CombinedSymbol):
         sym_vals = symbol.sample(max(samples_per_axis ** 2, 4096))
-        lo, hi = symbol.range_estimate()
     else:
         sym_vals = np.sort(symbol.sample(samples_per_axis))
-        lo, hi = symbol.range_estimate()
-    m = quantile_length or min(1024, len(eigs))
+    lo, hi = symbol.range_estimate()
+    m = min(MAX_QUANTILES, len(eigs))
     eig_q = _resample_sorted(eigs, m)
     sym_q = _resample_sorted(sym_vals, m)
     distance = float(np.abs(eig_q - sym_q).mean())
@@ -431,16 +379,18 @@ def distribution_distance(
     gaps = []
     for name, func in battery:
         matrix_avg = float(func(eigs).mean())
-        symbol_avg = _symbol_integral_average(symbol, func, quad_points)
+        symbol_avg = _symbol_integral_average(symbol, func)
         gaps.append((name, abs(matrix_avg - symbol_avg)))
 
-    outliers = int(np.count_nonzero((eigs < lo - delta) | (eigs > hi + delta)))
+    outliers = int(
+        np.count_nonzero((eigs < lo - OUTLIER_DELTA) | (eigs > hi + OUTLIER_DELTA))
+    )
     return DistributionReport(
         sorted_eigs=eigs,
+        eig_quantiles=eig_q,
         symbol_quantiles=sym_q,
         quantile_distance=distance,
         test_function_gaps=gaps,
         outlier_count=outliers,
-        delta=delta,
         matrix_size=len(eigs),
     )

@@ -27,7 +27,6 @@ __all__ = [
     "SmwError",
     "BlockSystem",
     "ArrowheadFactors",
-    "ScaledSystem",
     "build_system",
     "block_diagonal",
     "pin_nullspace",
@@ -83,14 +82,6 @@ class ArrowheadFactors:
     inner_aug: sp.csr_matrix  # (2*n0 + N) x n
     n0: int
     n_cells: int
-
-
-@dataclass
-class ScaledSystem:
-    """Diagonal congruence of the global matrix by per-block scale factors."""
-
-    matrix: sp.csr_matrix
-    scale_factors: np.ndarray  # per-block multipliers
 
 
 def build_system(operators: OperatorSet) -> BlockSystem:
@@ -297,28 +288,15 @@ def interface_basis(dofmap: DofMap) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def build_scaled(
-    system: BlockSystem, scale_factors: np.ndarray | None = None
-) -> ScaledSystem:
-    """Symmetrically scale the global matrix by per-block diagonal factors.
+def build_scaled(system: BlockSystem) -> sp.csr_matrix:
+    """The global matrix symmetrically scaled by 1/sqrt(tau_i) on block i.
 
-    By default block i is scaled by 1/sqrt(tau_i), which normalizes the bulk
-    part of every diagonal block to the plain P1 stiffness (whose interior
-    stencil carries the two-dimensional Laplacian symbol) and leaves the
-    membrane terms as a vanishing-rank perturbation.  Explicit factors, e.g.
-    h_i/sqrt(tau_i), may be passed instead.
+    This normalizes the bulk part of every diagonal block to the plain P1
+    stiffness (whose interior stencil carries the two-dimensional Laplacian
+    symbol) and leaves the membrane terms as a vanishing-rank perturbation.
     """
-    sizes = system.dofmap.block_sizes
-    if scale_factors is None:
-        # tau_i over one dof per block
-        scale_factors = 1.0 / np.sqrt(system.config.tau_per_dof(np.ones_like(sizes)))
-    else:
-        scale_factors = np.asarray(scale_factors, dtype=float)
-        if scale_factors.shape != sizes.shape:
-            raise ValueError("need one scale factor per subdomain block")
-    per_dof = np.repeat(scale_factors, sizes)
-    coo = system.matrix.tocoo()
-    data = coo.data * (per_dof[coo.row] * per_dof[coo.col])
-    matrix = sp.coo_matrix((data, (coo.row, coo.col)), shape=coo.shape).tocsr()
-    matrix.sort_indices()
-    return ScaledSystem(matrix=matrix, scale_factors=scale_factors)
+    d = 1.0 / np.sqrt(system.config.tau_per_dof(system.dofmap.block_sizes))
+    matrix = system.matrix.tocsr(copy=True)
+    rows = np.repeat(np.arange(system.n), np.diff(matrix.indptr))
+    matrix.data *= d[rows] * d[matrix.indices]
+    return matrix

@@ -215,7 +215,7 @@ def test_criterion_8_spectral_distribution_suite():
         case = get_case("A", nh, 1)
         system = case.unpinned
 
-        eigs = eig_rearranged(build_scaled(system).matrix)
+        eigs = eig_rearranged(build_scaled(system))
         scaled_dist.append(distribution_distance(eigs, symbol).quantile_distance)
 
         offdiag = system.matrix - block_diagonal(system)

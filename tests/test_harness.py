@@ -340,6 +340,17 @@ def test_cli_solve_imported_system(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_solve_imported_system_rejects_preconditioner(tmp_path, capsys):
+    """An imported system has no blocks to precondition: only plain cg runs."""
+    mm = tmp_path / "system.mtx"
+    csv = tmp_path / "runs.csv"
+    main(["assemble", "--model", "A", "--nh", "8", "--cells", "1", "--export-mm", str(mm)])
+    code = main(["solve", "--import-mm", str(mm), "--solver", "amg", "--csv", str(csv)])
+    assert code == 2
+    assert "plain cg" in capsys.readouterr().err
+    assert not csv.exists()
+
+
 def test_cli_table(tmp_path, capsys):
     csv = tmp_path / "table.csv"
     code = main(

@@ -94,9 +94,8 @@ def test_cg_breakdown_on_indefinite():
     A = sp.diags([1.0, -1.0]).tocsr()
     b = np.array([1.0, 1.0])
     x, report = cg_solve(A, b)
-    assert report.breakdown
+    assert report.breakdown and report.iterations == 1
     assert not report.converged
-    assert report.breakdown_iteration is not None
 
 
 def test_cg_zero_rhs():

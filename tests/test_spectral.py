@@ -74,10 +74,12 @@ def test_toeplitz_block_layout_matches_display():
     assert np.array_equal(T[0:3, 3:6], F1.T)
 
 
-def test_toeplitz_rejects_evaluator_only_symbol():
-    f = SymbolFunction(dim=1, coeffs=None, evaluator=lambda t: np.cos(t[..., 0]))
-    with pytest.raises(SpectralError):
-        toeplitz_from_symbol(f, 8)
+def test_symbol_rejects_non_hermitian_coefficients():
+    """f_1 without f_-1 would be the complex symbol 2 - exp(i theta)."""
+    with pytest.raises(SpectralError, match="Hermitian"):
+        SymbolFunction(dim=1, coeffs={(0,): 2.0, (1,): -1.0})
+    with pytest.raises(SpectralError, match="Hermitian"):
+        SymbolFunction(dim=2, coeffs={(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -0.5})
 
 
 def test_toeplitz_rejects_wrong_arity():
@@ -89,8 +91,6 @@ def test_p1_symbol_values():
     f = p1_laplacian_symbol()
     assert f(np.array([0.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
     assert f(np.array([np.pi, np.pi])) == pytest.approx(8.0, rel=1e-15)
-    assert f.is_hermitian()
-    assert f.bandwidth == 1
 
 
 def test_p1_symbol_matches_interior_stencil():
@@ -110,7 +110,7 @@ def test_p1_symbol_matches_interior_stencil():
         assert row[j] == f.coefficient(k)
 
 
-def test_symbol_evaluator_matches_series():
+def test_symbol_values_match_series():
     f = p1_laplacian_symbol()
     rng = np.random.default_rng(0)
     theta = rng.uniform(-np.pi, np.pi, size=(50, 2))
@@ -218,7 +218,7 @@ def test_scaled_system_distance_decreases():
     distances = []
     for nh in (8, 16, 32):
         system, _ = _model_a_system(nh)
-        eigs = eig_rearranged(build_scaled(system).matrix)
+        eigs = eig_rearranged(build_scaled(system))
         distances.append(distribution_distance(eigs, f).quantile_distance)
     assert distances[0] > distances[1] > distances[2]
     assert distances[2] < 0.8
@@ -303,10 +303,8 @@ def test_combined_symbol_piecewise_evaluation():
 
 
 def test_constant_symbol_quantiles():
-    report = distribution_distance(np.ones(100), constant_symbol(1.0), delta=0.1)
+    report = distribution_distance(np.ones(100), constant_symbol(1.0))
     assert report.quantile_distance == 0.0
     assert report.outlier_count == 0
-    report2 = distribution_distance(
-        np.concatenate([np.ones(99), [1.5]]), constant_symbol(1.0), delta=0.1
-    )
+    report2 = distribution_distance(np.concatenate([np.ones(99), [1.5]]), constant_symbol(1.0))
     assert report2.outlier_count == 1

@@ -102,8 +102,11 @@ def test_per_subdomain_conductivities():
     system = build_system(ops)
     d1 = (1.5 * dofmap.block(ops.stiffness, 1) + dofmap.block(ops.membrane_mass, 1)).tocsr()
     assert abs(dofmap.block(system.matrix, 1) - d1).max() == 0.0
+    # tau_i = tau * sigma_i = (1.0, 1.5): the cell block is divided by 1.5
     scaled = build_scaled(system)
-    assert np.allclose(scaled.scale_factors, [1 / np.sqrt(1.0), 1 / np.sqrt(1.5)])
+    assert abs(dofmap.block(scaled, 0) - dofmap.block(system.matrix, 0)).max() == 0.0
+    d1_scaled = dofmap.block(system.matrix, 1) / 1.5
+    assert abs(dofmap.block(scaled, 1) - d1_scaled).max() <= 1e-15 * abs(d1_scaled).max()
 
 
 def test_global_constant_nullspace_unpinned():
@@ -261,33 +264,24 @@ def test_all_direct_paths_agree():
         assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
 
 
-def test_scaled_uniform_factors():
-    system, _, mesh = _system("A", 8, 1)
-    tau = system.config.tau
-    factors = np.full(2, mesh.h / np.sqrt(tau))
-    scaled = build_scaled(system, factors)
-    expected = (mesh.h ** 2 / tau) * system.matrix
-    assert abs(scaled.matrix - expected).max() <= 1e-15 * abs(expected).max()
-    assert abs(scaled.matrix - scaled.matrix.T).max() == 0.0
-
-
 def test_scaled_default_is_symbol_normalized():
-    """Default scaling divides by sqrt(tau): bulk becomes the plain stiffness."""
+    """Scaling divides by sqrt(tau): bulk becomes the plain stiffness."""
     system, ops, _ = _system("A", 8, 1)
     scaled = build_scaled(system)
     dofmap = system.dofmap
-    bulk = dofmap.block(scaled.matrix, 0)
+    bulk = dofmap.block(scaled, 0)
     interior = ~dofmap.block(dofmap.is_membrane, 0)
     a0 = dofmap.block(ops.stiffness, 0)
     diff = (bulk - a0).toarray()[np.ix_(interior, interior)]
     assert np.abs(diff).max() <= 1e-12
+    assert abs(scaled - scaled.T).max() == 0.0
 
 
 def test_scaled_spectrum_split():
     """Eigenvalues stay within the stencil range plus the membrane perturbation."""
     system, _, _ = _system("A", 8, 1)
     scaled = build_scaled(system)
-    dense = scaled.matrix.toarray()
+    dense = scaled.toarray()
     eigs = np.linalg.eigvalsh(dense)
     # split off the block-diagonal bulk part
     bulk = _same_block(system, dense)
@@ -307,7 +301,7 @@ def _same_block(system, dense):
 
 
 def _pure_stiffness_blockdiag(system):
-    out = _same_block(system, build_scaled(system).matrix.toarray())
+    out = _same_block(system, build_scaled(system).toarray())
     # remove the scaled membrane mass by zeroing membrane-membrane couplings
     mem = system.dofmap.is_membrane
     out[np.ix_(mem, mem)] = 0.0
@@ -318,7 +312,7 @@ def test_scaled_preserves_inertia():
     system, _, _ = _system("A", 8, 1, pin=True)
     scaled = build_scaled(system)
     e1 = np.linalg.eigvalsh(system.matrix.toarray())
-    e2 = np.linalg.eigvalsh(scaled.matrix.toarray())
+    e2 = np.linalg.eigvalsh(scaled.toarray())
     tol1 = 1e-12 * np.abs(e1).max()
     tol2 = 1e-12 * np.abs(e2).max()
 
@@ -328,10 +322,27 @@ def test_scaled_preserves_inertia():
     assert inertia(e1, tol1) == inertia(e2, tol2)
 
 
-def test_scaled_wrong_factor_count():
-    system, _, _ = _system("A", 8, 1)
-    with pytest.raises(ValueError):
-        build_scaled(system, np.ones(5))
+def _coo_build_scaled(system):
+    """Reference scaling through a COO round trip, one factor per block."""
+    sizes = system.dofmap.block_sizes
+    scale_factors = 1.0 / np.sqrt(system.config.tau_per_dof(np.ones_like(sizes)))
+    per_dof = np.repeat(scale_factors, sizes)
+    coo = system.matrix.tocoo()
+    data = coo.data * (per_dof[coo.row] * per_dof[coo.col])
+    matrix = sp.coo_matrix((data, (coo.row, coo.col)), shape=coo.shape).tocsr()
+    matrix.sort_indices()
+    return matrix
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1e-5])
+@pytest.mark.parametrize(
+    "model,nh,n_cells",
+    [("A", 16, 1), ("A", 32, 25), ("A", 64, 441), ("B", 64, 144), ("B", 128, 16), ("A", 16, 0)],
+)
+def test_build_scaled_matches_coo_reference(model, nh, n_cells, tau):
+    unpinned, _, _ = _system(model, nh, n_cells, tau=tau)
+    for system in (unpinned, pin_nullspace(unpinned)):
+        _assert_same_csr(build_scaled(system), _coo_build_scaled(system))
 
 
 def test_interface_basis_invertible_and_constant_preserving():
