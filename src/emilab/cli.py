@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: mesh, assemble, solve, spectra, table.  Exit codes: 0 success,
-2 configuration/geometry error, 3 solver failure.
+2 configuration/geometry error, 3 solver failure (for spectra: a check that
+recorded an error).
 """
 
 from __future__ import annotations
@@ -137,10 +138,12 @@ def _cmd_solve(args) -> int:
 def _cmd_spectra(args) -> int:
     spec = _spec_from_args(args)
     results = run_spectral_suite(spec)
+    failed = False
     for kind, entries in results.items():
         for nh, rep in entries:
             if isinstance(rep, dict) and "error" in rep:
                 print(f"{kind} nh={nh}: failed ({rep['error']})")
+                failed = True
             elif isinstance(rep, dict):
                 print(
                     f"{kind} nh={nh}: fraction {rep['fraction_above']:.4f} "
@@ -151,7 +154,7 @@ def _cmd_spectra(args) -> int:
                     f"{kind} nh={nh}: quantile distance {rep.quantile_distance:.4f}, "
                     f"outliers {rep.outlier_count}"
                 )
-    return EXIT_OK
+    return EXIT_SOLVER if failed else EXIT_OK
 
 
 def _cmd_table(args) -> int:

@@ -75,9 +75,12 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
     if norm_b == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, time.perf_counter() - t0, [], True)
 
+    # without a preconditioner z is r itself; p is updated in place and the
+    # steps of x and r go through one buffer
     x = np.zeros(n)
+    step = np.empty(n)
     r = b.copy()
-    z = M(r) if M is not None else r.copy()
+    z = M(r) if M is not None else r
     p = z.copy()
     rz = float(r @ z)
     history: list[float] = []
@@ -92,8 +95,8 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
                 it, rel, time.perf_counter() - t0, history, False, breakdown=True
             )
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Ap, out=step)
         rel = float(np.linalg.norm(r) / norm_b)
         history.append(rel)
         if callback is not None:
@@ -106,13 +109,15 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
                     it, true_rel, time.perf_counter() - t0, history, True
                 )
             r = true_r  # replace drifted recursive residual and keep going
-            z = M(r) if M is not None else r.copy()
+            z = M(r) if M is not None else r
             p = z.copy()
             rz = float(r @ z)
             continue
-        z = M(r) if M is not None else r.copy()
+        if M is not None:
+            z = M(r)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     rel = float(np.linalg.norm(b - A @ x) / norm_b)
     return x, SolveReport(it, rel, time.perf_counter() - t0, history, rel <= config.tol)

@@ -53,6 +53,10 @@ MAX_QUANTILES = 1024  # longest quantile vector a distribution report compares
 OUTLIER_DELTA = 0.1  # widening of the symbol range before counting outliers
 QUAD_POINTS = 64  # Gauss-Legendre points per axis of the symbol integrals
 
+# the rule on [-1, 1] mapped to [-pi, pi]; the weights absorb into the mean
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_POINTS)
+_GAUSS_NODES = _GAUSS_NODES * np.pi
+
 
 @dataclass(frozen=True)
 class SymbolFunction:
@@ -138,15 +142,25 @@ def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> np.ndarray:
     return out
 
 
-def _check_residuals(A, vals: np.ndarray, vector, error) -> None:
-    """Verify a sample of eigenpairs ``(vals[i], vector(i))`` against ``A``."""
+def _check_residuals(A, vals: np.ndarray, vectors, error) -> None:
+    """Verify a sample of eigenpairs against ``A``.
+
+    ``vectors(idx)`` returns the eigenvectors of ``vals[idx]`` as columns; the
+    sampled residuals come from one product of ``A`` with those columns.
+    """
     n = len(vals)
+    idx = np.linspace(0, n - 1, min(RESIDUAL_SAMPLES, n)).astype(int)
+    V = vectors(idx)
+    # a dense A goes through scipy's BLAS, the library the eigensolve ran on
+    # (A.T with trans_a hands the C-ordered array over without a copy):
+    # numpy's ``@`` wakes numpy's own BLAS thread pool, whose spinning
+    # workers slowed the next eigensolve and the work after it on 2 cores
+    AV = A @ V if sp.issparse(A) else la.blas.dgemm(1.0, A.T, V, trans_a=True)
+    res = np.linalg.norm(AV - V * vals[idx], axis=0)
     norm_a = np.abs(vals).max() if n else 0.0
-    for i in np.linspace(0, n - 1, min(RESIDUAL_SAMPLES, n)).astype(int):
-        vec = vector(i)
-        res = np.linalg.norm(A @ vec - vals[i] * vec)
-        if res > RESIDUAL_TOL * max(norm_a, 1e-300):
-            raise error(f"eigenpair residual {res:.2e} exceeds {RESIDUAL_TOL:.0e} * |A|")
+    for r in res:
+        if r > RESIDUAL_TOL * max(norm_a, 1e-300):
+            raise error(f"eigenpair residual {r:.2e} exceeds {RESIDUAL_TOL:.0e} * |A|")
 
 
 def lanczos_eigenvalues(A) -> np.ndarray:
@@ -194,25 +208,28 @@ def lanczos_eigenvalues(A) -> np.ndarray:
             V[:, j + 1] = w / nw
             beta[j] = nw
     eigvals, eigvecs = la.eigh_tridiagonal(alpha, beta)
-    _check_residuals(A, eigvals, lambda i: V @ eigvecs[:, i], LanczosError)
+    _check_residuals(A, eigvals, lambda idx: V @ eigvecs[:, idx], LanczosError)
     return np.sort(eigvals)
 
 
 def eig_rearranged(M, dense_threshold: int = 6000) -> np.ndarray:
     """Nondecreasing spectrum of a symmetric matrix, sparse or dense.
 
-    Dense solves up to the threshold, afterwards a fully reorthogonalized
-    Lanczos sweep; a sample of eigenpairs is residual-checked either way.
+    Dense solves (LAPACK divide and conquer) up to the threshold, afterwards
+    a fully reorthogonalized Lanczos sweep; a sample of eigenpairs is
+    residual-checked either way.  A 0 x 0 input has the empty spectrum.
     """
     sparse = sp.issparse(M)
     M = M.tocsr() if sparse else np.asarray(M, dtype=float)
+    if M.shape[0] == 0:
+        return np.zeros(0)
     if abs(M - M.T).max() > 1e-10 * max(abs(M).max(), 1.0):
         raise SpectralError("matrix is not symmetric")
     if M.shape[0] > dense_threshold:
         return lanczos_eigenvalues(M)
     dense = M.toarray() if sparse else M
-    vals, vecs = la.eigh(dense)
-    _check_residuals(dense, vals, lambda i: vecs[:, i], SpectralError)
+    vals, vecs = la.eigh(dense, driver="evd")
+    _check_residuals(dense, vals, lambda idx: vecs[:, idx], SpectralError)
     return vals
 
 
@@ -340,19 +357,23 @@ def _test_battery(fmax: float):
     return battery
 
 
-def _symbol_integral_average(symbol, func) -> float:
-    """(1 / mu(D)) * integral of func(symbol) by tensor Gauss-Legendre."""
+def _symbol_integral_averages(symbol, battery) -> list:
+    """(1 / mu(D)) * integral of func(symbol) for each battery function.
+
+    Tensor Gauss-Legendre: the symbol (each piece of a combined symbol) is
+    evaluated on the grid once and every function reuses those values.
+    """
     if isinstance(symbol, CombinedSymbol):
-        return sum(w * _symbol_integral_average(f, func) for f, w in symbol.pieces)
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_POINTS)
-    nodes = nodes * np.pi  # [-1, 1] -> [-pi, pi]; weights absorb into the mean
-    grids = np.meshgrid(*([nodes] * symbol.dim), indexing="ij")
-    theta = np.stack(grids, axis=-1)
-    vals = func(symbol(theta))
+        per_piece = [
+            [w * avg for avg in _symbol_integral_averages(f, battery)] for f, w in symbol.pieces
+        ]
+        return [sum(terms) for terms in zip(*per_piece)]
+    grids = np.meshgrid(*([_GAUSS_NODES] * symbol.dim), indexing="ij")
+    vals = symbol(np.stack(grids, axis=-1))
     wgt = np.ones(())
     for _ in range(symbol.dim):
-        wgt = np.multiply.outer(wgt, weights)
-    return float((vals * wgt).sum() / 2.0 ** symbol.dim)
+        wgt = np.multiply.outer(wgt, _GAUSS_WEIGHTS)
+    return [float((func(vals) * wgt).sum() / 2.0 ** symbol.dim) for _, func in battery]
 
 
 def distribution_distance(
@@ -376,11 +397,11 @@ def distribution_distance(
     distance = float(np.abs(eig_q - sym_q).mean())
 
     battery = _test_battery(hi)
-    gaps = []
-    for name, func in battery:
-        matrix_avg = float(func(eigs).mean())
-        symbol_avg = _symbol_integral_average(symbol, func)
-        gaps.append((name, abs(matrix_avg - symbol_avg)))
+    symbol_avgs = _symbol_integral_averages(symbol, battery)
+    gaps = [
+        (name, abs(float(func(eigs).mean()) - symbol_avg))
+        for (name, func), symbol_avg in zip(battery, symbol_avgs)
+    ]
 
     outliers = int(
         np.count_nonzero((eigs < lo - OUTLIER_DELTA) | (eigs > hi + OUTLIER_DELTA))

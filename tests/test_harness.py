@@ -1,8 +1,11 @@
 """Experiment driver and CLI tests: configs, tables, determinism, exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
+from emilab import harness
 from emilab.cli import main
 from emilab.fem import ProblemConfig
 from emilab.harness import (
@@ -22,6 +25,8 @@ from emilab.meshgen import (
     label_model_b,
 )
 from emilab.solvers import SolverConfig
+from emilab.spectral import SpectralError, eig_rearranged
+from emilab.system import block_diagonal
 
 
 def _strip_seconds(rows):
@@ -199,6 +204,38 @@ def test_spectral_suite_outputs(tmp_path):
     assert len(lines) > 10
 
 
+@pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("A", 32, 1), ("B", 16, 4), ("B", 16, 16)])
+def test_offdiag_record_matches_full_spectrum(model, nh, n_cells):
+    """The support eigensolve reports what the full n x n spectrum gives."""
+    spec = ExperimentSpec(model=model, nh_list=(nh,), cells_list=(n_cells,))
+    _, record = run_spectral_suite(spec)["offdiag_zero"][0]
+    system = build_case(model, nh, n_cells, spec.tau_list[0], spec.eps).unpinned
+    offdiag = (system.matrix - block_diagonal(system)).tocsr()
+    full = eig_rearranged(offdiag)
+    n = system.n
+    delta = 1e-10 * float(np.abs(system.matrix).sum(axis=1).max())
+    assert record == {
+        "fraction_above": float(np.count_nonzero(np.abs(full) > delta)) / n,
+        "bound": 2.0 * system.dofmap.n_gamma / n,
+        "delta": delta,
+        "n": n,
+    }
+    offdiag.eliminate_zeros()
+    rows = np.flatnonzero(np.diff(offdiag.indptr))
+    on_support = eig_rearranged(offdiag[rows][:, rows])
+    nonzero = np.sort(full[np.argsort(np.abs(full), kind="stable")[n - len(rows):]])
+    scale = np.abs(full).max()
+    assert np.allclose(on_support, nonzero, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_offdiag_record_without_cells_is_zero():
+    """No cells, no off-diagonal part: the support is empty and so is the spectrum."""
+    spec = ExperimentSpec(model="A", nh_list=(8,), cells_list=(0,))
+    _, record = run_spectral_suite(spec)["offdiag_zero"][0]
+    assert record["fraction_above"] == 0.0
+    assert record["bound"] == 0.0
+
+
 def test_build_case_pins_system():
     case = build_case("A", 16, 1, 0.01)
     assert case.system.pinned_dof is not None
@@ -368,6 +405,21 @@ def test_cli_spectra(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "szego" in out and "scaled" in out
+
+
+def test_cli_spectra_failed_check_exit_code(tmp_path, capsys, monkeypatch):
+    """A check that records an error makes the run a solver failure."""
+
+    def failing(M, *args, **kwargs):
+        raise SpectralError("eigenpair residual 1.00e+00 exceeds 1e-08 * |A|")
+
+    monkeypatch.setattr(harness, "eig_rearranged", failing)
+    code = main(["spectra", "--model", "A", "--nh", "8", "--cells", "1", "--outdir", str(tmp_path)])
+    assert code == 3
+    assert "scaled nh=8: failed (SpectralError: eigenpair residual" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "spectra_summary.json").read_text())
+    assert summary["scaled"][0]["error"].startswith("SpectralError: eigenpair residual")
+    assert "error" not in summary["preconditioned"][0]
 
 
 _ADMISSIBILITY = [

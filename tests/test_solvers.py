@@ -553,3 +553,78 @@ def test_triangle_factor_matches_dense_solve(n, density, lower, seed):
     lu = _triangle_factor(T)
     assert lu.L.nnz + lu.U.nnz == T.nnz + n
     assert np.linalg.norm(lu.solve(b) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _ref_cg_solve(A, b, config, M=None):
+    """Reference CG loop that allocates its vectors every iteration."""
+    norm_b = np.linalg.norm(b)
+    x = np.zeros(b.shape[0])
+    r = b.copy()
+    z = M(r) if M is not None else r.copy()
+    p = z.copy()
+    rz = float(r @ z)
+    history = []
+    it = 0
+    while it < config.maxiter:
+        it += 1
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if not pAp > 0.0:
+            return x, it, history, False
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rel = float(np.linalg.norm(r) / norm_b)
+        history.append(rel)
+        if rel <= config.tol:
+            true_r = b - A @ x
+            if float(np.linalg.norm(true_r) / norm_b) <= config.tol:
+                return x, it, history, True
+            r = true_r
+            z = M(r) if M is not None else r.copy()
+            p = z.copy()
+            rz = float(r @ z)
+            continue
+        z = M(r) if M is not None else r.copy()
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return x, it, history, False
+
+
+def _ill_conditioned_dense():
+    """60 x 60, condition 1e8: plain CG at tol 1e-9 takes 1427 steps, one a residual replacement."""
+    rng = np.random.default_rng(2)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    A = (Q * np.logspace(0, 8, 60)) @ Q.T
+    return (A + A.T) / 2, rng.standard_normal(60)
+
+
+def _pinned_case(model, nh, n_cells):
+    system = _emi_case(nh, n_cells, model=model)[0]
+    return system.matrix, system.rhs
+
+
+CG_ORACLE_CASES = {
+    "A16-1": lambda: _pinned_case("A", 16, 1),
+    "B16-4": lambda: _pinned_case("B", 16, 4),
+    "ill-conditioned-60": _ill_conditioned_dense,
+}
+
+
+@pytest.mark.parametrize("prec", ["none", "ilu"])
+@pytest.mark.parametrize("name", sorted(CG_ORACLE_CASES))
+def test_cg_iterates_match_reference_loop(name, prec):
+    """In-place updates leave every iterate bitwise equal to the allocating loop."""
+    A, b = CG_ORACLE_CASES[name]()
+    M = ilu0_factor(sp.csr_matrix(A)) if prec == "ilu" else None
+    config = SolverConfig(tol=1e-9, maxiter=5000)
+    x, report = cg_solve(A, b, config, M=M)
+    ref_x, ref_it, ref_history, ref_converged = _ref_cg_solve(A, b, config, M=M)
+    assert np.array_equal(x, ref_x)
+    assert report.iterations == ref_it
+    assert report.residual_history == ref_history
+    assert report.converged == ref_converged
+    if name == "ill-conditioned-60" and prec == "none":
+        history = np.array(ref_history)
+        assert np.count_nonzero(history[:-1] <= config.tol) > 0  # replacements ran

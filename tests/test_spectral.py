@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from emilab import spectral
 from emilab.fem import ProblemConfig, assemble_operators, assemble_stiffness
-from emilab.meshgen import build_dofmap, build_mesh, label_model_a
+from emilab.meshgen import build_dofmap, build_mesh, label_model_a, label_model_b
 from emilab.spectral import (
     CombinedSymbol,
     SpectralError,
     SymbolFunction,
     combined_symbol,
+    combined_symbol_for_blocks,
     constant_symbol,
     distribution_distance,
     eig_rearranged,
@@ -134,6 +136,50 @@ def test_eig_rearranged_sparse_input():
     eigs = eig_rearranged(T)
     expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, 13) * np.pi / 13))
     assert np.allclose(eigs, expected, rtol=1e-12, atol=1e-13)
+
+
+def test_eig_rearranged_empty_input():
+    for M in (np.zeros((0, 0)), sp.csr_matrix((0, 0))):
+        eigs = eig_rearranged(M)
+        assert eigs.shape == (0,)
+
+
+def _corrupting_eigh(monkeypatch, column):
+    """Make every eigenvector solve return e_0 in place of eigenvector ``column``."""
+    original = spectral.la.eigh
+
+    def corrupted(*args, **kwargs):
+        vals, vecs = original(*args, **kwargs)
+        vecs = vecs.copy()
+        vecs[:, column] = 0.0
+        vecs[0, column] = 1.0
+        return vals, vecs
+
+    monkeypatch.setattr(spectral.la, "eigh", corrupted)
+
+
+def _sampled_columns(n):
+    return np.linspace(0, n - 1, spectral.RESIDUAL_SAMPLES).astype(int)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_residual_check_fires_on_a_bad_eigenpair(monkeypatch, sparse):
+    n = 40
+    T = toeplitz_from_symbol(laplacian_1d_symbol(), n)
+    _corrupting_eigh(monkeypatch, _sampled_columns(n)[3])
+    with pytest.raises(SpectralError, match="eigenpair residual"):
+        eig_rearranged(sp.csr_matrix(T) if sparse else T)
+
+
+def test_residual_check_samples_fixed_columns(monkeypatch):
+    """Ten evenly spaced pairs are checked; a column between them is not."""
+    n = 40
+    unsampled = sorted(set(range(n)) - set(_sampled_columns(n)))
+    assert len(unsampled) == n - spectral.RESIDUAL_SAMPLES
+    _corrupting_eigh(monkeypatch, unsampled[0])
+    T = toeplitz_from_symbol(laplacian_1d_symbol(), n)
+    expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+    assert np.allclose(eig_rearranged(T), expected, rtol=1e-12, atol=1e-13)
 
 
 def test_lanczos_matches_dense():
@@ -308,3 +354,51 @@ def test_constant_symbol_quantiles():
     assert report.outlier_count == 0
     report2 = distribution_distance(np.concatenate([np.ones(99), [1.5]]), constant_symbol(1.0))
     assert report2.outlier_count == 1
+
+
+def _old_symbol_integral_average(symbol, func) -> float:
+    """Per-function quadrature as before the grid values were shared."""
+    if isinstance(symbol, CombinedSymbol):
+        return sum(w * _old_symbol_integral_average(f, func) for f, w in symbol.pieces)
+    nodes, weights = np.polynomial.legendre.leggauss(spectral.QUAD_POINTS)
+    nodes = nodes * np.pi
+    grids = np.meshgrid(*([nodes] * symbol.dim), indexing="ij")
+    theta = np.stack(grids, axis=-1)
+    vals = func(symbol(theta))
+    wgt = np.ones(())
+    for _ in range(symbol.dim):
+        wgt = np.multiply.outer(wgt, weights)
+    return float((vals * wgt).sum() / 2.0 ** symbol.dim)
+
+
+def _model_b_combined_symbol():
+    mesh = build_mesh(16)
+    dofmap = build_dofmap(mesh, label_model_b(mesh, 4))
+    f = p1_laplacian_symbol()
+    pieces = [f] + [
+        SymbolFunction(dim=2, coeffs={k: (i + 2) * v for k, v in f.coeffs.items()})
+        for i in range(len(dofmap.block_sizes) - 1)
+    ]
+    return combined_symbol_for_blocks(dofmap, pieces)
+
+
+WEYL_ORACLE_SYMBOLS = {
+    "p1": p1_laplacian_symbol,
+    "constant": lambda: constant_symbol(1.0),
+    "model-b-combined": _model_b_combined_symbol,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_ORACLE_SYMBOLS))
+def test_weyl_gaps_match_per_function_quadrature(name):
+    """Shared grid values give bitwise the gaps of one quadrature per function."""
+    symbol = WEYL_ORACLE_SYMBOLS[name]()
+    lo, hi = symbol.range_estimate()
+    eigs = np.linspace(lo, hi, 257)
+    report = distribution_distance(eigs, symbol)
+    battery = spectral._test_battery(hi)
+    expected = [
+        (label, abs(float(func(eigs).mean()) - _old_symbol_integral_average(symbol, func)))
+        for label, func in battery
+    ]
+    assert report.test_function_gaps == expected
