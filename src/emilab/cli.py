@@ -38,38 +38,57 @@ def _float_list(raw: str):
     return tuple(float(v) for v in raw.split(","))
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--model", choices=("A", "B"), default="A")
-    p.add_argument("--nh", type=_int_list, default=(64,), help="comma separated sizes")
-    p.add_argument("--cells", type=_int_list, default=(1,), help="comma separated cell counts")
-    p.add_argument("--tau", type=_float_list, default=(0.01,))
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--maxiter", type=int, default=20000)
-    p.add_argument("--config", help="flat key=value config file; overrides flags")
-    p.add_argument("--csv", help="write result rows to this path")
-    p.add_argument("--outdir", help="directory for suite outputs")
+def _str_list(raw: str):
+    return tuple(raw.split(","))
 
 
-def _spec_from_args(args, solvers=None) -> ExperimentSpec:
+# the flags of the one problem that mesh, assemble and solve build
+_CASE_FLAGS = {
+    "--model": dict(choices=("A", "B"), default="A"),
+    "--nh": dict(type=int, default=64),
+    "--cells": dict(type=int, default=1),
+    "--tau": dict(type=float, default=0.01),
+    "--eps": dict(type=float, default=1e-4),
+    "--tol": dict(type=float, default=1e-9),
+    "--maxiter": dict(type=int, default=20000),
+}
+
+# the ExperimentSpec fields spectra and table take from flags: an unset flag
+# leaves the spec's default, and a config file replaces all of them
+_SPEC_FLAGS = {
+    "--model": dict(dest="model", choices=("A", "B")),
+    "--nh": dict(dest="nh_list", type=_int_list, help="comma separated sizes"),
+    "--cells": dict(dest="cells_list", type=_int_list, help="comma separated cell counts"),
+    "--tau": dict(dest="tau_list", type=_float_list, help="comma separated time constants"),
+    "--eps": dict(dest="eps", type=float),
+    "--tol": dict(dest="tol", type=float),
+    "--maxiter": dict(dest="maxiter", type=int),
+    "--solver": dict(dest="solvers", type=_str_list, help="comma separated solver list"),
+    "--outdir": dict(dest="outdir", help="directory for suite outputs"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, table: dict, *flags):
+    for flag in flags:
+        p.add_argument(flag, **table[flag])
+
+
+def _spec_from_args(args) -> ExperimentSpec:
+    given = {
+        flag: getattr(args, kw["dest"])
+        for flag, kw in _SPEC_FLAGS.items()
+        if getattr(args, kw["dest"], None) is not None
+    }
     if args.config:
+        if given:
+            raise ConfigError(f"--config sets the whole experiment; drop {', '.join(given)}")
         return parse_config(args.config)
-    return ExperimentSpec(
-        model=args.model,
-        nh_list=args.nh,
-        cells_list=args.cells,
-        tau_list=args.tau,
-        solvers=solvers if solvers is not None else ("cg",),
-        eps=args.eps,
-        tol=args.tol,
-        maxiter=args.maxiter,
-        outdir=args.outdir,
-    )
+    return ExperimentSpec(**{_SPEC_FLAGS[flag]["dest"]: value for flag, value in given.items()})
 
 
 def _cmd_mesh(args) -> int:
-    mesh = build_mesh(args.nh[0])
-    n_cells = args.cells[0]
+    mesh = build_mesh(args.nh)
+    n_cells = args.cells
     labeling = label_model_a(mesh, n_cells) if args.model == "A" else label_model_b(mesh, n_cells)
     dofmap = build_dofmap(mesh, labeling)
     print(
@@ -84,7 +103,7 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    case = build_case(args.model, args.nh[0], args.cells[0], args.tau[0], args.eps)
+    case = build_case(args.model, args.nh, args.cells, args.tau, args.eps)
     A = case.system.matrix
     asym = abs(A - A.T).max() if A.nnz else 0.0
     print(f"assembled n={A.shape[0]} nnz={A.nnz} |A - A^T|_max = {asym:.3e} (pinned)")
@@ -96,7 +115,11 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.import_rhs and not args.import_mm:
+        raise ConfigError("--import-rhs is the right-hand side of an --import-mm system")
     if args.import_mm:
+        if args.export_mm:
+            raise ConfigError("--export-mm writes an assembled system, not an imported one")
         if args.solver != "cg":
             raise ConfigError(f"imported systems are solved with plain cg, not {args.solver}")
         A = eio.read_matrix_market(args.import_mm)
@@ -109,12 +132,12 @@ def _cmd_solve(args) -> int:
         _, report = cg_solve(A, rhs, cfg)
         seconds = report.wall_time
         dof_info = (A.shape[0], 0, 0)
-        n_cells, nh, tau = 0, 0, args.tau[0]
+        n_cells, nh = 0, 0
     else:
-        case = build_case(args.model, args.nh[0], args.cells[0], args.tau[0], args.eps)
+        case = build_case(args.model, args.nh, args.cells, args.tau, args.eps)
         report, seconds = solve_case(case, args.solver, args.tol, args.maxiter, args.eps)
         dof_info = (case.dofmap.n, case.dofmap.n0, case.dofmap.n_gamma)
-        n_cells, nh, tau = args.cells[0], args.nh[0], args.tau[0]
+        n_cells, nh = args.cells, args.nh
         if args.export_mm:
             eio.write_matrix_market(case.system.matrix, args.export_mm)
             eio.write_vector(str(args.export_mm) + ".rhs.txt", case.system.rhs)
@@ -125,7 +148,7 @@ def _cmd_solve(args) -> int:
     )
     if args.csv:
         row = eio.format_result_row(
-            args.model, n_cells, nh, tau, args.eps, args.solver,
+            args.model, n_cells, nh, args.tau, args.eps, args.solver,
             report.iterations if report.converged else -1,
             report.final_rel_residual, seconds, *dof_info,
         )
@@ -158,8 +181,7 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    solvers = tuple(args.solver.split(",")) if args.solver else ("cg",)
-    spec = _spec_from_args(args, solvers=solvers)
+    spec = _spec_from_args(args)
     rows = run_table(spec, args.kind)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -177,27 +199,30 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mesh = sub.add_parser("mesh", help="build a mesh and report dof counts")
-    _add_common(p_mesh)
+    _add_flags(p_mesh, _CASE_FLAGS, "--model", "--nh", "--cells")
     p_mesh.add_argument("--out", help="write a plain-text node/element file")
 
     p_asm = sub.add_parser("assemble", help="assemble the pinned global system")
-    _add_common(p_asm)
+    _add_flags(p_asm, _CASE_FLAGS, "--model", "--nh", "--cells", "--tau", "--eps")
     p_asm.add_argument("--export-mm", help="Matrix Market output path")
 
     p_solve = sub.add_parser("solve", help="assemble and solve one system")
-    _add_common(p_solve)
+    _add_flags(p_solve, _CASE_FLAGS, *_CASE_FLAGS)
     p_solve.add_argument("--solver", default="cg", choices=("cg", "ilu", "blockdiag", "amg"))
+    p_solve.add_argument("--csv", help="append the result row to this path")
     p_solve.add_argument("--export-mm", help="Matrix Market output path")
     p_solve.add_argument("--import-mm", help="solve an imported Matrix Market system")
     p_solve.add_argument("--import-rhs", help="plain vector file for the imported system")
 
     p_spec = sub.add_parser("spectra", help="run the spectral verification suite")
-    _add_common(p_spec)
+    p_spec.add_argument("--config", help="flat key=value config file in place of the flags")
+    _add_flags(p_spec, _SPEC_FLAGS, "--model", "--nh", "--cells", "--tau", "--eps", "--outdir")
 
     p_table = sub.add_parser("table", help="reproduce an iteration table")
-    _add_common(p_table)
+    p_table.add_argument("--config", help="flat key=value config file in place of the flags")
+    _add_flags(p_table, _SPEC_FLAGS, *_SPEC_FLAGS)
     p_table.add_argument("--kind", choices=("refinement", "tau", "cells"), default="refinement")
-    p_table.add_argument("--solver", help="comma separated solver list")
+    p_table.add_argument("--csv", help="write the rows to this path")
 
     args = parser.parse_args(argv)
     handlers = {

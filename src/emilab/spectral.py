@@ -18,6 +18,7 @@ from typing import Mapping
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 __all__ = [
     "SpectralError",
@@ -132,13 +133,14 @@ def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> np.ndarray:
         raise SpectralError("each level size must be at least 1")
     total = int(np.prod(nu))
     out = np.zeros((total, total))
+    grid = np.indices(nu).reshape(len(nu), total)  # row multi-indices, first outermost
+    rows = np.arange(total)
+    bounds = np.array(nu)[:, None]
     for k, v in symbol.coeffs.items():
-        if any(abs(ki) >= m for ki, m in zip(k, nu)):
-            continue
-        shift = np.ones((1, 1))
-        for ki, m in zip(k, nu):
-            shift = np.kron(shift, np.eye(m, k=-ki))
-        out += v * shift
+        # f_k sits where column = row - k; offsets past the grid select nothing
+        cols = grid - np.array(k)[:, None]
+        inside = np.all((cols >= 0) & (cols < bounds), axis=0)
+        out[rows[inside], np.ravel_multi_index(cols[:, inside], nu)] = v
     return out
 
 
@@ -212,24 +214,74 @@ def lanczos_eigenvalues(A) -> np.ndarray:
     return np.sort(eigvals)
 
 
+def _lapack_ok(routine: str, info: int) -> None:
+    if info != 0:
+        raise SpectralError(f"LAPACK {routine} failed with info={info}")
+
+
+def _tridiagonal_eigh(A: np.ndarray):
+    """Spectrum of a dense symmetric matrix (lower triangle) and an
+    eigenvector callback.
+
+    A = Q T Q^T by one Householder reduction (``dsytrd``); the eigenvalues of
+    T come from ``dsterf``, the pair that ``la.eigh(A, eigvals_only=True,
+    driver="evd")`` runs, so the spectrum is bitwise that call's.
+    ``vectors(idx)`` computes only the requested eigenvectors: bisection for
+    each eigenvalue of T (``dstebz``), inverse iteration for its vector
+    (``dstein``), and Q applied to them (``dormqr``).
+    """
+    n = A.shape[0]
+    if n == 1:  # no off-diagonal to reduce (f2py rejects the empty one)
+        return A[0].copy(), lambda idx: np.ones((1, len(idx)))
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _lapack_ok("dsytrd_lwork", info)
+    c, d, e, tau, info = lapack.dsytrd(A, lower=1, lwork=int(lwork))
+    _lapack_ok("dsytrd", info)
+    vals, info = lapack.dsterf(d, e)
+    _lapack_ok("dsterf", info)
+
+    def vectors(idx):
+        Y = np.empty((n, len(idx)), order="F")
+        for j, i in enumerate(idx):
+            # range 3 ("I"): the (i+1)-th smallest eigenvalue of T alone
+            _, w, iblock, isplit, info = lapack.dstebz(d, e, 3, 0.0, 0.0, i + 1, i + 1, 0.0, "B")
+            _lapack_ok("dstebz", info)
+            z, info = lapack.dstein(d, e, w[:1], iblock, isplit)
+            _lapack_ok("dstein", info)
+            Y[:, j] = z[:, 0]
+        # Q = H(1) ... H(n-1) leaves the first coordinate alone; a workspace
+        # query lets dormqr apply the reflectors in blocks
+        reflectors = np.asfortranarray(c[1:, : n - 1])
+        _, work, info = lapack.dormqr("L", "N", reflectors, tau, Y[1:], -1)
+        _lapack_ok("dormqr", info)
+        Y[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, Y[1:], int(work[0]))
+        _lapack_ok("dormqr", info)
+        return Y
+
+    return vals, vectors
+
+
 def eig_rearranged(M, dense_threshold: int = 6000) -> np.ndarray:
     """Nondecreasing spectrum of a symmetric matrix, sparse or dense.
 
-    Dense solves (LAPACK divide and conquer) up to the threshold, afterwards
-    a fully reorthogonalized Lanczos sweep; a sample of eigenpairs is
-    residual-checked either way.  A 0 x 0 input has the empty spectrum.
+    Dense solves (one tridiagonal reduction, see ``_tridiagonal_eigh``) up
+    to the threshold, afterwards a fully reorthogonalized Lanczos sweep; a
+    sample of eigenpairs is residual-checked either way.  A 0 x 0 input has
+    the empty spectrum.
     """
     sparse = sp.issparse(M)
     M = M.tocsr() if sparse else np.asarray(M, dtype=float)
     if M.shape[0] == 0:
         return np.zeros(0)
-    if abs(M - M.T).max() > 1e-10 * max(abs(M).max(), 1.0):
-        raise SpectralError("matrix is not symmetric")
+    # a NaN or inf entry makes the asymmetry NaN, which fails the test too:
+    # LAPACK would carry it into the spectrum and past the residual check
+    if not abs(M - M.T).max() <= 1e-10 * max(abs(M).max(), 1.0):
+        raise SpectralError("matrix is not symmetric and finite")
     if M.shape[0] > dense_threshold:
         return lanczos_eigenvalues(M)
     dense = M.toarray() if sparse else M
-    vals, vecs = la.eigh(dense, driver="evd")
-    _check_residuals(dense, vals, lambda idx: vecs[:, idx], SpectralError)
+    vals, vectors = _tridiagonal_eigh(dense)
+    _check_residuals(dense, vals, vectors, SpectralError)
     return vals
 
 

@@ -388,6 +388,40 @@ def test_cli_solve_imported_system_rejects_preconditioner(tmp_path, capsys):
     assert not csv.exists()
 
 
+_IGNORED_FLAG_RUNS = {
+    "solve-config": ["solve", "--config", "{cfg}"],
+    "solve-rhs-without-import": ["solve", "--import-rhs", "{tmp}/x.txt", "--csv", "{out}"],
+    "solve-import-and-export": ["solve", "--import-mm", "{tmp}/s.mtx", "--export-mm", "{out}"],
+    "mesh-csv": ["mesh", "--nh", "8", "--csv", "{out}"],
+    "mesh-outdir": ["mesh", "--nh", "8", "--outdir", "{out}"],
+    "mesh-config": ["mesh", "--config", "{cfg}"],
+    "mesh-tau": ["mesh", "--nh", "8", "--tau", "0.1"],
+    "mesh-nh-list": ["mesh", "--nh", "8,16", "--out", "{out}"],
+    "assemble-tol": ["assemble", "--nh", "8", "--tol", "1e-6"],
+    "spectra-csv": ["spectra", "--nh", "8", "--csv", "{out}"],
+    "spectra-solver": ["spectra", "--nh", "8", "--solver", "amg"],
+    "spectra-config-and-flag": ["spectra", "--config", "{cfg}", "--nh", "8", "--outdir", "{out}"],
+    "table-config-and-solver": ["table", "--config", "{cfg}", "--solver", "amg", "--csv", "{out}"],
+}
+
+
+@pytest.mark.parametrize("name", list(_IGNORED_FLAG_RUNS))
+def test_cli_rejects_flags_its_subcommand_ignores(tmp_path, capsys, name):
+    """A flag the handler would not read exits 2 before anything is built or written."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("model=B\nnh=16\ncells=4\n")
+    out = tmp_path / "out"
+    argv = [
+        arg.format(cfg=cfg, tmp=tmp_path, out=out) for arg in _IGNORED_FLAG_RUNS[name]
+    ]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: unknown flag or bad value
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
+
+
 def test_cli_table(tmp_path, capsys):
     csv = tmp_path / "table.csv"
     code = main(

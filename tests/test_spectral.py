@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from emilab import spectral
@@ -76,6 +77,52 @@ def test_toeplitz_block_layout_matches_display():
     assert np.array_equal(T[0:3, 3:6], F1.T)
 
 
+def _kron_toeplitz(symbol, nu):
+    """The d-level Toeplitz matrix as a sum of Kronecker products of shifts."""
+    nu = (int(nu),) if np.isscalar(nu) else tuple(int(m) for m in nu)
+    total = int(np.prod(nu))
+    out = np.zeros((total, total))
+    for k, v in symbol.coeffs.items():
+        if any(abs(ki) >= m for ki, m in zip(k, nu)):
+            continue
+        shift = np.ones((1, 1))
+        for ki, m in zip(k, nu):
+            shift = np.kron(shift, np.eye(m, k=-ki))
+        out += v * shift
+    return out
+
+
+_WIDE_1D = SymbolFunction(
+    dim=1,
+    coeffs={(0,): 6.0, (2,): -1.5, (-2,): -1.5, (5,): 0.25, (-5,): 0.25, (9,): 7.0, (-9,): 7.0},
+)
+_SKEW_2D = SymbolFunction(
+    dim=2,
+    coeffs={
+        (0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (0, 2): -2.0, (0, -2): -2.0,
+        (1, -1): 0.5, (-1, 1): 0.5, (5, 0): 0.125, (-5, 0): 0.125, (0, 7): 3.0, (0, -7): 3.0,
+    },
+)
+
+TOEPLITZ_ORACLE_CASES = {
+    "1d-int-nu": (laplacian_1d_symbol(), 9),
+    "1d-offsets-at-and-past-size": (_WIDE_1D, 5),
+    "1d-offsets-inside": (_WIDE_1D, 12),
+    "p1-8x8": (p1_laplacian_symbol(), (8, 8)),
+    "p1-5x7": (p1_laplacian_symbol(), (5, 7)),
+    "skew-5x7": (_SKEW_2D, (5, 7)),
+    "skew-offsets-at-size": (_SKEW_2D, (5, 2)),
+    "p1-1x1": (p1_laplacian_symbol(), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(TOEPLITZ_ORACLE_CASES))
+def test_toeplitz_matches_kron_oracle_bitwise(name):
+    symbol, nu = TOEPLITZ_ORACLE_CASES[name]
+    T = toeplitz_from_symbol(symbol, nu)
+    assert T.tobytes() == _kron_toeplitz(symbol, nu).tobytes()
+
+
 def test_symbol_rejects_non_hermitian_coefficients():
     """f_1 without f_-1 would be the complex symbol 2 - exp(i theta)."""
     with pytest.raises(SpectralError, match="Hermitian"):
@@ -131,6 +178,15 @@ def test_eig_rearranged_rejects_nonsymmetric():
         eig_rearranged(M)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eig_rearranged_rejects_non_finite(sparse, bad):
+    M = toeplitz_from_symbol(laplacian_1d_symbol(), 6)
+    M[2, 2] = bad
+    with pytest.raises(SpectralError, match="symmetric and finite"), np.errstate(invalid="ignore"):
+        eig_rearranged(sp.csr_matrix(M) if sparse else M)
+
+
 def test_eig_rearranged_sparse_input():
     T = sp.csr_matrix(toeplitz_from_symbol(laplacian_1d_symbol(), 12))
     eigs = eig_rearranged(T)
@@ -144,18 +200,29 @@ def test_eig_rearranged_empty_input():
         assert eigs.shape == (0,)
 
 
-def _corrupting_eigh(monkeypatch, column):
-    """Make every eigenvector solve return e_0 in place of eigenvector ``column``."""
-    original = spectral.la.eigh
+def _hook_sampled_vectors(monkeypatch, corrupt=None):
+    """Record the index of every eigenvector the dense path computes.
 
-    def corrupted(*args, **kwargs):
-        vals, vecs = original(*args, **kwargs)
-        vecs = vecs.copy()
-        vecs[:, column] = 0.0
-        vecs[0, column] = 1.0
-        return vals, vecs
+    The vector of T computed for index ``corrupt`` is swapped for e_0 before
+    it is mapped back through Q, so that eigenpair is wrong.
+    """
+    requested = []
+    dstebz, dstein = spectral.lapack.dstebz, spectral.lapack.dstein
 
-    monkeypatch.setattr(spectral.la, "eigh", corrupted)
+    def recording_dstebz(d, e, range_, vl, vu, il, iu, *args):
+        requested.append(il - 1)
+        return dstebz(d, e, range_, vl, vu, il, iu, *args)
+
+    def corrupting_dstein(*args):
+        z, info = dstein(*args)
+        if requested[-1] == corrupt:
+            z = np.zeros_like(z)
+            z[0] = 1.0
+        return z, info
+
+    monkeypatch.setattr(spectral.lapack, "dstebz", recording_dstebz)
+    monkeypatch.setattr(spectral.lapack, "dstein", corrupting_dstein)
+    return requested
 
 
 def _sampled_columns(n):
@@ -166,20 +233,79 @@ def _sampled_columns(n):
 def test_residual_check_fires_on_a_bad_eigenpair(monkeypatch, sparse):
     n = 40
     T = toeplitz_from_symbol(laplacian_1d_symbol(), n)
-    _corrupting_eigh(monkeypatch, _sampled_columns(n)[3])
+    _hook_sampled_vectors(monkeypatch, corrupt=_sampled_columns(n)[3])
     with pytest.raises(SpectralError, match="eigenpair residual"):
         eig_rearranged(sp.csr_matrix(T) if sparse else T)
 
 
 def test_residual_check_samples_fixed_columns(monkeypatch):
-    """Ten evenly spaced pairs are checked; a column between them is not."""
+    """Exactly the ten evenly spaced eigenvectors are computed and checked."""
     n = 40
-    unsampled = sorted(set(range(n)) - set(_sampled_columns(n)))
-    assert len(unsampled) == n - spectral.RESIDUAL_SAMPLES
-    _corrupting_eigh(monkeypatch, unsampled[0])
+    requested = _hook_sampled_vectors(monkeypatch)
     T = toeplitz_from_symbol(laplacian_1d_symbol(), n)
     expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
     assert np.allclose(eig_rearranged(T), expected, rtol=1e-12, atol=1e-13)
+    assert requested == list(_sampled_columns(n))
+
+
+@pytest.mark.parametrize(
+    "routine", ["dsytrd_lwork", "dsytrd", "dsterf", "dstebz", "dstein", "dormqr"]
+)
+def test_dense_eigensolve_reports_lapack_failure(monkeypatch, routine):
+    original = getattr(spectral.lapack, routine)
+
+    def failing(*args, **kwargs):
+        return (*original(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(spectral.lapack, routine, failing)
+    with pytest.raises(SpectralError, match=f"LAPACK {routine} failed with info=1"):
+        eig_rearranged(toeplitz_from_symbol(laplacian_1d_symbol(), 12))
+
+
+def _offdiag_support_b16():
+    """The off-diagonal part of B/16/4 on the rows it touches, as the suite solves it."""
+    mesh = build_mesh(16)
+    labeling = label_model_b(mesh, 4)
+    dofmap = build_dofmap(mesh, labeling)
+    system = build_system(assemble_operators(mesh, labeling, dofmap, ProblemConfig(tau=0.01)))
+    offdiag = (system.matrix - block_diagonal(system)).tocsr()
+    offdiag.eliminate_zeros()
+    support = np.union1d(np.flatnonzero(np.diff(offdiag.indptr)), offdiag.indices)
+    return offdiag[support][:, support].toarray()
+
+
+def _random_symmetric(n, seed=0):
+    X = np.random.default_rng(seed).standard_normal((n, n))
+    return X + X.T
+
+
+EIGVALS_ORACLE_INPUTS = {
+    "scaled-A16": lambda: build_scaled(_model_a_system(16)[0]).toarray(),
+    "p1-toeplitz-8x8": lambda: toeplitz_from_symbol(p1_laplacian_symbol(), (8, 8)),
+    "offdiag-support-B16-4": _offdiag_support_b16,
+    "random-300": lambda: _random_symmetric(300),
+    # inside the symmetry tolerance: only the lower triangle is read
+    "random-300-upper-perturbed": lambda: _random_symmetric(300) + np.triu(
+        np.full((300, 300), 1e-12), 1
+    ),
+    "repeated-diagonal": lambda: np.diag([3.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0]),
+    # zero couplings between the blocks split the tridiagonal form
+    "split-block-diagonal": lambda: la.block_diag(
+        _random_symmetric(5, 1), np.zeros((2, 2)), _random_symmetric(7, 2)
+    ),
+    "zero": lambda: np.zeros((6, 6)),
+    "1x1": lambda: np.array([[-2.5]]),
+    "2x2": lambda: np.array([[2.0, -1.0], [-1.0, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(EIGVALS_ORACLE_INPUTS))
+def test_dense_spectrum_bitwise_matches_evd(name):
+    """One dsytrd + dsterf is exactly what the evd driver runs without vectors."""
+    M = EIGVALS_ORACLE_INPUTS[name]()
+    eigs = eig_rearranged(M)
+    expected = la.eigh(M, eigvals_only=True, driver="evd")
+    assert eigs.dtype == expected.dtype and eigs.tobytes() == expected.tobytes()
 
 
 def test_lanczos_matches_dense():
