@@ -16,13 +16,14 @@ from . import io as eio
 from .harness import (
     ConfigError,
     ExperimentSpec,
+    _build_geometry,
     build_case,
     parse_config,
     run_spectral_suite,
     run_table,
     solve_case,
 )
-from .meshgen import GeometryError, build_dofmap, build_mesh, label_model_a, label_model_b
+from .meshgen import GeometryError
 from .solvers import SolverConfig, cg_solve
 
 EXIT_OK = 0
@@ -87,12 +88,9 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 
 def _cmd_mesh(args) -> int:
-    mesh = build_mesh(args.nh)
-    n_cells = args.cells
-    labeling = label_model_a(mesh, n_cells) if args.model == "A" else label_model_b(mesh, n_cells)
-    dofmap = build_dofmap(mesh, labeling)
+    mesh, labeling, dofmap = _build_geometry(args.model, args.nh, args.cells)
     print(
-        f"model {args.model} nh={mesh.nh} N={n_cells}: "
+        f"model {args.model} nh={mesh.nh} N={args.cells}: "
         f"n={dofmap.n} n0={dofmap.n0} n_in={dofmap.n_in} nGamma={dofmap.n_gamma} "
         f"(nGamma/n = {dofmap.n_gamma / dofmap.n:.3f})"
     )
@@ -132,12 +130,13 @@ def _cmd_solve(args) -> int:
         _, report = cg_solve(A, rhs, cfg)
         seconds = report.wall_time
         dof_info = (A.shape[0], 0, 0)
-        n_cells, nh = 0, 0
+        # no model, size, tau or eps describes an imported system
+        problem = ("", 0, 0, None, None)
     else:
         case = build_case(args.model, args.nh, args.cells, args.tau, args.eps)
         report, seconds = solve_case(case, args.solver, args.tol, args.maxiter, args.eps)
         dof_info = (case.dofmap.n, case.dofmap.n0, case.dofmap.n_gamma)
-        n_cells, nh = args.cells, args.nh
+        problem = (args.model, args.cells, args.nh, args.tau, args.eps)
         if args.export_mm:
             eio.write_matrix_market(case.system.matrix, args.export_mm)
             eio.write_vector(str(args.export_mm) + ".rhs.txt", case.system.rhs)
@@ -148,7 +147,7 @@ def _cmd_solve(args) -> int:
     )
     if args.csv:
         row = eio.format_result_row(
-            args.model, n_cells, nh, args.tau, args.eps, args.solver,
+            *problem, args.solver,
             report.iterations if report.converged else -1,
             report.final_rel_residual, seconds, *dof_info,
         )

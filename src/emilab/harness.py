@@ -270,14 +270,19 @@ def run_table(spec: ExperimentSpec, kind: str) -> list:
 
 
 def run_spectral_suite(spec: ExperimentSpec) -> dict:
-    """Distribution reports over the nh list for the first cell count.
+    """Distribution reports over the nh list for one cell count and one tau.
 
-    Emits, per size: the scaled-matrix comparison against the stiffness
-    symbol, the off-diagonal zero-distribution statistics (eigensolved on the
-    rows the off-diagonal part touches, over the full n), the spectrum of
-    the block-preconditioned matrix against the constant symbol, and a
-    Toeplitz comparison of matching size.
+    A spec with more than one cell count or tau value is a configuration
+    error: the suite sweeps nh only.  Emits, per size: the scaled-matrix
+    comparison against the stiffness symbol, the off-diagonal
+    zero-distribution statistics (eigensolved on the rows the off-diagonal
+    part touches, over the full n), the spectrum of the block-preconditioned
+    matrix against the constant symbol, and a Toeplitz comparison of
+    matching size.
     """
+    for name, values in (("cells", spec.cells_list), ("tau", spec.tau_list)):
+        if len(values) != 1:
+            raise ConfigError(f"the spectral suite takes one {name} value, got {len(values)}")
     n_cells = int(spec.cells_list[0])
     tau = float(spec.tau_list[0])
     symbol = p1_laplacian_symbol()

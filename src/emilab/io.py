@@ -61,12 +61,16 @@ def export_mesh_text(mesh: StructuredMesh, labeling: SubdomainLabeling, path) ->
     Path(path).write_text(buf.getvalue())
 
 
+def _number(value) -> str:
+    return "" if value is None else f"{value:.10g}"
+
+
 def format_result_row(
     model: str,
     n_cells: int,
     nh: int,
-    tau: float,
-    eps: float,
+    tau: float | None,
+    eps: float | None,
     solver: str,
     iterations: int,
     relres: float,
@@ -75,7 +79,8 @@ def format_result_row(
     n0: int,
     n_gamma: int,
 ) -> str:
+    """One CSV line under ``CSV_HEADER``; a tau or eps of None is left empty."""
     return (
-        f"{model},{n_cells},{nh},{tau:.10g},{eps:.10g},{solver},"
+        f"{model},{n_cells},{nh},{_number(tau)},{_number(eps)},{solver},"
         f"{iterations},{relres:.6e},{seconds:.3f},{n},{n0},{n_gamma}"
     )

@@ -3,8 +3,7 @@
 A symbol here is a real trigonometric polynomial on the d-torus given by its
 finitely many Fourier coefficients; the associated d-level Toeplitz matrix
 carries coefficient f_{k-l} at multi-index (k, l).  Spectral distribution of
-a symmetric matrix sequence against a symbol (or a piecewise combination of
-symbols weighted by relative block sizes) is quantified two ways: the mean
+a symmetric matrix sequence against a symbol is quantified two ways: the mean
 gap between sorted eigenvalues and sorted symbol samples after quantile
 resampling, and the Weyl averages of a fixed battery of smooth compactly
 supported test functions against the corresponding symbol integrals.
@@ -24,7 +23,6 @@ __all__ = [
     "SpectralError",
     "LanczosError",
     "SymbolFunction",
-    "CombinedSymbol",
     "DistributionReport",
     "p1_laplacian_symbol",
     "laplacian_1d_symbol",
@@ -32,8 +30,6 @@ __all__ = [
     "toeplitz_from_symbol",
     "eig_rearranged",
     "lanczos_eigenvalues",
-    "combined_symbol",
-    "combined_symbol_for_blocks",
     "distribution_distance",
 ]
 
@@ -47,6 +43,8 @@ class LanczosError(RuntimeError):
 
 
 RANGE_POINTS_PER_AXIS = 256  # midpoint grid that estimates a symbol's range
+SAMPLES_PER_AXIS = 128  # midpoint grid whose symbol values the quantiles compare
+DENSE_MAX_N = 6000  # largest matrix eig_rearranged solves densely
 LANCZOS_SEED = 7  # seed of the deterministic Lanczos start vector
 RESIDUAL_SAMPLES = 10  # eigenpairs residual-checked per spectrum
 RESIDUAL_TOL = 1e-8  # accepted eigenpair residual, relative to |A|
@@ -115,8 +113,8 @@ def laplacian_1d_symbol() -> SymbolFunction:
     return SymbolFunction(dim=1, coeffs={(0,): 2.0, (1,): -1.0, (-1,): -1.0})
 
 
-def constant_symbol(value: float, dim: int = 1) -> SymbolFunction:
-    return SymbolFunction(dim=dim, coeffs={(0,) * dim: float(value)})
+def constant_symbol(value: float) -> SymbolFunction:
+    return SymbolFunction(dim=1, coeffs={(0,): float(value)})
 
 
 def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> np.ndarray:
@@ -261,13 +259,13 @@ def _tridiagonal_eigh(A: np.ndarray):
     return vals, vectors
 
 
-def eig_rearranged(M, dense_threshold: int = 6000) -> np.ndarray:
+def eig_rearranged(M) -> np.ndarray:
     """Nondecreasing spectrum of a symmetric matrix, sparse or dense.
 
     Dense solves (one tridiagonal reduction, see ``_tridiagonal_eigh``) up
-    to the threshold, afterwards a fully reorthogonalized Lanczos sweep; a
-    sample of eigenpairs is residual-checked either way.  A 0 x 0 input has
-    the empty spectrum.
+    to ``DENSE_MAX_N`` rows, above it a fully reorthogonalized Lanczos
+    sweep; a sample of eigenpairs is residual-checked either way.  A 0 x 0
+    input has the empty spectrum.
     """
     sparse = sp.issparse(M)
     M = M.tocsr() if sparse else np.asarray(M, dtype=float)
@@ -277,7 +275,7 @@ def eig_rearranged(M, dense_threshold: int = 6000) -> np.ndarray:
     # LAPACK would carry it into the spectrum and past the residual check
     if not abs(M - M.T).max() <= 1e-10 * max(abs(M).max(), 1.0):
         raise SpectralError("matrix is not symmetric and finite")
-    if M.shape[0] > dense_threshold:
+    if M.shape[0] > DENSE_MAX_N:
         return lanczos_eigenvalues(M)
     dense = M.toarray() if sparse else M
     vals, vectors = _tridiagonal_eigh(dense)
@@ -285,70 +283,10 @@ def eig_rearranged(M, dense_threshold: int = 6000) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class CombinedSymbol:
-    """Piecewise symbol: piece i is active for x in [breaks[i], breaks[i+1]].
-
-    The weights are the relative block sizes and must sum to one; sampling
-    draws from each piece proportionally to its weight.
-    """
-
-    pieces: tuple  # ((SymbolFunction, weight), ...)
-    breaks: np.ndarray
-
-    def __call__(self, x: float, theta: np.ndarray) -> np.ndarray:
-        i = int(np.searchsorted(self.breaks[1:-1], x, side="right"))
-        return self.pieces[i][0](theta)
-
-    def sample(self, total_points: int) -> np.ndarray:
-        weights = np.array([w for _, w in self.pieces])
-        counts = np.floor(weights * total_points).astype(int)
-        # distribute the rounding remainder deterministically, largest first
-        remainder = total_points - counts.sum()
-        frac_order = np.argsort(-(weights * total_points - counts), kind="stable")
-        counts[frac_order[:remainder]] += 1
-        chunks = []
-        for (f, _), m in zip(self.pieces, counts):
-            if m == 0:
-                continue
-            per_axis = max(int(np.ceil(m ** (1.0 / f.dim))), 1)
-            vals = f.sample(per_axis)
-            chunks.append(np.sort(vals)[np.linspace(0, len(vals) - 1, m).astype(int)])
-        return np.sort(np.concatenate(chunks))
-
-    def range_estimate(self) -> tuple[float, float]:
-        lows, highs = zip(*(f.range_estimate() for f, _ in self.pieces))
-        return min(lows), max(highs)
-
-
-def combined_symbol(pieces) -> CombinedSymbol:
-    """Combine per-block symbols with their relative dimension weights."""
-    pieces = tuple(pieces)
-    if not pieces:
-        raise SpectralError("no symbol pieces given")
-    weights = np.array([w for _, w in pieces], dtype=float)
-    if np.any(weights <= 0):
-        raise SpectralError("all weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise SpectralError(f"weights must sum to 1, got {weights.sum()}")
-    breaks = np.concatenate([[0.0], np.cumsum(weights)])
-    breaks[-1] = 1.0
-    return CombinedSymbol(pieces=pieces, breaks=breaks)
-
-
-def combined_symbol_for_blocks(dofmap, symbols) -> CombinedSymbol:
-    """Per-block symbols weighted by each block's share of the global dofs."""
-    weights = dofmap.block_sizes / dofmap.n
-    if len(symbols) != len(weights):
-        raise SpectralError("need one symbol per subdomain block")
-    return combined_symbol(list(zip(symbols, weights)))
-
-
 @dataclass
 class DistributionReport:
     """Comparison of a sorted spectrum against symbol samples."""
 
-    sorted_eigs: np.ndarray
     eig_quantiles: np.ndarray
     symbol_quantiles: np.ndarray
     quantile_distance: float
@@ -409,17 +347,12 @@ def _test_battery(fmax: float):
     return battery
 
 
-def _symbol_integral_averages(symbol, battery) -> list:
+def _symbol_integral_averages(symbol: SymbolFunction, battery) -> list:
     """(1 / mu(D)) * integral of func(symbol) for each battery function.
 
-    Tensor Gauss-Legendre: the symbol (each piece of a combined symbol) is
-    evaluated on the grid once and every function reuses those values.
+    Tensor Gauss-Legendre: the symbol is evaluated on the grid once and
+    every function reuses those values.
     """
-    if isinstance(symbol, CombinedSymbol):
-        per_piece = [
-            [w * avg for avg in _symbol_integral_averages(f, battery)] for f, w in symbol.pieces
-        ]
-        return [sum(terms) for terms in zip(*per_piece)]
     grids = np.meshgrid(*([_GAUSS_NODES] * symbol.dim), indexing="ij")
     vals = symbol(np.stack(grids, axis=-1))
     wgt = np.ones(())
@@ -428,9 +361,7 @@ def _symbol_integral_averages(symbol, battery) -> list:
     return [float((func(vals) * wgt).sum() / 2.0 ** symbol.dim) for _, func in battery]
 
 
-def distribution_distance(
-    eigs: np.ndarray, symbol, samples_per_axis: int = 128
-) -> DistributionReport:
+def distribution_distance(eigs: np.ndarray, symbol: SymbolFunction) -> DistributionReport:
     """Quantile distance and Weyl test-function gaps between spectrum and symbol.
 
     Both sides are reduced to equal-length midpoint quantile vectors; the
@@ -438,10 +369,7 @@ def distribution_distance(
     OUTLIER_DELTA on both ends.
     """
     eigs = np.sort(np.asarray(eigs, dtype=float))
-    if isinstance(symbol, CombinedSymbol):
-        sym_vals = symbol.sample(max(samples_per_axis ** 2, 4096))
-    else:
-        sym_vals = np.sort(symbol.sample(samples_per_axis))
+    sym_vals = np.sort(symbol.sample(SAMPLES_PER_AXIS))
     lo, hi = symbol.range_estimate()
     m = min(MAX_QUANTILES, len(eigs))
     eig_q = _resample_sorted(eigs, m)
@@ -459,7 +387,6 @@ def distribution_distance(
         np.count_nonzero((eigs < lo - OUTLIER_DELTA) | (eigs > hi + OUTLIER_DELTA))
     )
     return DistributionReport(
-        sorted_eigs=eigs,
         eig_quantiles=eig_q,
         symbol_quantiles=sym_q,
         quantile_distance=distance,

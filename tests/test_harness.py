@@ -370,11 +370,15 @@ def test_matrix_market_square_nonsymmetric_goes_out_general(tmp_path):
 
 def test_cli_solve_imported_system(tmp_path, capsys):
     mm = tmp_path / "system.mtx"
+    csv = tmp_path / "runs.csv"
     main(["assemble", "--model", "A", "--nh", "8", "--cells", "1", "--export-mm", str(mm)])
     code = main(
-        ["solve", "--import-mm", str(mm), "--import-rhs", str(mm) + ".rhs.txt"]
+        ["solve", "--import-mm", str(mm), "--import-rhs", str(mm) + ".rhs.txt",
+         "--model", "B", "--tau", "0.5", "--eps", "0.3", "--csv", str(csv)]
     )
     assert code == 0
+    # model, tau and eps flags do not describe an imported system
+    assert csv.read_text().splitlines()[1].startswith(",0,0,,,cg,")
 
 
 def test_cli_solve_imported_system_rejects_preconditioner(tmp_path, capsys):
@@ -402,6 +406,10 @@ _IGNORED_FLAG_RUNS = {
     "spectra-solver": ["spectra", "--nh", "8", "--solver", "amg"],
     "spectra-config-and-flag": ["spectra", "--config", "{cfg}", "--nh", "8", "--outdir", "{out}"],
     "table-config-and-solver": ["table", "--config", "{cfg}", "--solver", "amg", "--csv", "{out}"],
+    # the spectral suite sweeps nh only: a second cell count or tau is an error
+    "spectra-cells-list": ["spectra", "--nh", "16", "--cells", "1,25", "--outdir", "{out}"],
+    "spectra-tau-list": ["spectra", "--nh", "16", "--tau", "0.01,1.0", "--outdir", "{out}"],
+    "spectra-config-cells-list": ["spectra", "--config", "{cells_cfg}"],
 }
 
 
@@ -411,8 +419,11 @@ def test_cli_rejects_flags_its_subcommand_ignores(tmp_path, capsys, name):
     cfg = tmp_path / "b.cfg"
     cfg.write_text("model=B\nnh=16\ncells=4\n")
     out = tmp_path / "out"
+    cells_cfg = tmp_path / "cells.cfg"
+    cells_cfg.write_text(f"nh=16\ncells=1,25\noutdir={out}\n")
     argv = [
-        arg.format(cfg=cfg, tmp=tmp_path, out=out) for arg in _IGNORED_FLAG_RUNS[name]
+        arg.format(cfg=cfg, cells_cfg=cells_cfg, tmp=tmp_path, out=out)
+        for arg in _IGNORED_FLAG_RUNS[name]
     ]
     try:
         code = main(argv)

@@ -9,11 +9,8 @@ from emilab import spectral
 from emilab.fem import ProblemConfig, assemble_operators, assemble_stiffness
 from emilab.meshgen import build_dofmap, build_mesh, label_model_a, label_model_b
 from emilab.spectral import (
-    CombinedSymbol,
     SpectralError,
     SymbolFunction,
-    combined_symbol,
-    combined_symbol_for_blocks,
     constant_symbol,
     distribution_distance,
     eig_rearranged,
@@ -322,9 +319,10 @@ def test_lanczos_handles_degenerate_spectrum():
     assert np.allclose(eigs, [1.0, 1.0, 1.0, 2.0, 2.0, 3.0], atol=1e-10)
 
 
-def test_eig_rearranged_lanczos_path():
+def test_eig_rearranged_lanczos_path(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_MAX_N", 50)
     T = sp.csr_matrix(toeplitz_from_symbol(laplacian_1d_symbol(), 80))
-    eigs = eig_rearranged(T, dense_threshold=50)
+    eigs = eig_rearranged(T)
     expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, 81) * np.pi / 81))
     assert np.allclose(eigs, expected, rtol=1e-8, atol=1e-9)
 
@@ -363,8 +361,8 @@ def test_membrane_mass_zero_distribution():
 
 def test_distribution_distance_zero_for_matching_samples():
     f = p1_laplacian_symbol()
-    samples = np.sort(f.sample(64))
-    report = distribution_distance(samples, f, samples_per_axis=64)
+    samples = np.sort(f.sample(spectral.SAMPLES_PER_AXIS))
+    report = distribution_distance(samples, f)
     assert report.quantile_distance == 0.0
     assert report.outlier_count == 0
 
@@ -375,7 +373,7 @@ def test_distribution_distance_test_functions():
     reports = {}
     for nu in (128, 512):
         eigs = eig_rearranged(toeplitz_from_symbol(f, nu))
-        reports[nu] = distribution_distance(eigs, f, samples_per_axis=4096)
+        reports[nu] = distribution_distance(eigs, f)
     assert reports[512].quantile_distance <= 0.02
     coarse = dict(reports[128].test_function_gaps)
     fine = dict(reports[512].test_function_gaps)
@@ -416,64 +414,6 @@ def test_weyl_gaps_decrease_under_refinement():
         assert gap_sets[1][name] <= gap_sets[0][name] + 1e-12
 
 
-def test_combined_symbol_identical_pieces():
-    """Two identical pieces sample exactly the duplicated single-symbol multiset."""
-    f = p1_laplacian_symbol()
-    combo = combined_symbol([(f, 0.5), (f, 0.5)])
-    single = np.sort(f.sample(64))
-    merged = combo.sample(2 * len(single))  # each piece lands on the same 64x64 grid
-    assert np.array_equal(merged, np.sort(np.concatenate([single, single])))
-
-
-def test_combined_symbol_merge_oracle():
-    """Quantiles of (f, 2f) equal the sorted merge of both samplings."""
-    f = laplacian_1d_symbol()
-    two_f = SymbolFunction(dim=1, coeffs={k: 2 * v for k, v in f.coeffs.items()})
-    combo = combined_symbol([(f, 0.5), (two_f, 0.5)])
-    merged = combo.sample(2048)
-    oracle = np.sort(np.concatenate([
-        np.sort(f.sample(1024)), np.sort(two_f.sample(1024))
-    ]))
-    assert np.allclose(merged, oracle, rtol=1e-12, atol=1e-12)
-
-
-def test_combined_symbol_from_dofmap_weights():
-    """Block shares from the dof map drive the piecewise breakpoints."""
-    from emilab.spectral import combined_symbol_for_blocks
-
-    mesh = build_mesh(16)
-    labeling = label_model_a(mesh, 1)
-    dofmap = build_dofmap(mesh, labeling)
-    f = p1_laplacian_symbol()
-    combo = combined_symbol_for_blocks(dofmap, [f, f])
-    assert np.allclose(combo.breaks, [0.0, dofmap.n0 / dofmap.n, 1.0])
-    # identical pieces collapse onto the single symbol's distribution
-    theta = np.array([0.3, -1.2])
-    assert combo(0.1, theta) == pytest.approx(f(theta))
-    assert combo(0.99, theta) == pytest.approx(f(theta))
-    with pytest.raises(SpectralError):
-        combined_symbol_for_blocks(dofmap, [f])
-
-
-def test_combined_symbol_validation():
-    f = laplacian_1d_symbol()
-    with pytest.raises(SpectralError):
-        combined_symbol([])
-    with pytest.raises(SpectralError):
-        combined_symbol([(f, 0.4), (f, 0.4)])
-    with pytest.raises(SpectralError):
-        combined_symbol([(f, 1.5), (f, -0.5)])
-
-
-def test_combined_symbol_piecewise_evaluation():
-    f = laplacian_1d_symbol()
-    g = constant_symbol(7.0)
-    combo = combined_symbol([(f, 0.25), (g, 0.75)])
-    theta = np.array([np.pi])
-    assert combo(0.1, theta) == pytest.approx(4.0)
-    assert combo(0.9, theta) == pytest.approx(7.0)
-
-
 def test_constant_symbol_quantiles():
     report = distribution_distance(np.ones(100), constant_symbol(1.0))
     assert report.quantile_distance == 0.0
@@ -484,8 +424,6 @@ def test_constant_symbol_quantiles():
 
 def _old_symbol_integral_average(symbol, func) -> float:
     """Per-function quadrature as before the grid values were shared."""
-    if isinstance(symbol, CombinedSymbol):
-        return sum(w * _old_symbol_integral_average(f, func) for f, w in symbol.pieces)
     nodes, weights = np.polynomial.legendre.leggauss(spectral.QUAD_POINTS)
     nodes = nodes * np.pi
     grids = np.meshgrid(*([nodes] * symbol.dim), indexing="ij")
@@ -497,21 +435,9 @@ def _old_symbol_integral_average(symbol, func) -> float:
     return float((vals * wgt).sum() / 2.0 ** symbol.dim)
 
 
-def _model_b_combined_symbol():
-    mesh = build_mesh(16)
-    dofmap = build_dofmap(mesh, label_model_b(mesh, 4))
-    f = p1_laplacian_symbol()
-    pieces = [f] + [
-        SymbolFunction(dim=2, coeffs={k: (i + 2) * v for k, v in f.coeffs.items()})
-        for i in range(len(dofmap.block_sizes) - 1)
-    ]
-    return combined_symbol_for_blocks(dofmap, pieces)
-
-
 WEYL_ORACLE_SYMBOLS = {
     "p1": p1_laplacian_symbol,
     "constant": lambda: constant_symbol(1.0),
-    "model-b-combined": _model_b_combined_symbol,
 }
 
 
