@@ -1,6 +1,8 @@
-"""Experiment driver: solver tables, spectral verification suite, CSV output.
+"""Experiment driver: parameters, solver tables, spectral suite, CSV output.
 
-Each table run sweeps one axis (nh, tau or the cell count) through the same
+``PARAMETERS`` spells and parses each experiment parameter for config files
+and the CLI alike.  A table run sweeps one list (nh, tau or the cell count),
+takes the single value of the other two (``single_values``) and runs one
 pipeline: build the mesh and partition, assemble operators, pin the
 nullspace, then time one solve per requested solver.  Rows carry the dof
 bookkeeping next to the iteration counts so a table is self-describing;
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +26,6 @@ from .fem import OperatorSet, ProblemConfig, assemble_operators
 from .meshgen import (
     DofMap,
     GeometryError,
-    StructuredMesh,
-    SubdomainLabeling,
     build_dofmap,
     build_mesh,
     check_compatible,
@@ -58,8 +59,10 @@ from .system import (
 __all__ = [
     "ConfigError",
     "ExperimentSpec",
+    "PARAMETERS",
     "SOLVER_NAMES",
     "parse_config",
+    "single_values",
     "build_case",
     "solve_case",
     "run_table",
@@ -67,6 +70,7 @@ __all__ = [
 ]
 
 SOLVER_NAMES = ("cg", "ilu", "blockdiag", "amg", "geometry")
+AMG_BASIS_MASS_RATIO = 10.0  # membrane over scaled stiffness diagonal that gates the amg basis
 
 
 class ConfigError(ValueError):
@@ -104,35 +108,40 @@ class ExperimentSpec:
                 check_compatible(self.model, int(nh), int(n_cells))
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("nh", "cells"):
-        return tuple(int(v) for v in raw.split(","))
-    if key == "tau":
-        return tuple(float(v) for v in raw.split(","))
-    if key == "solvers":
-        return tuple(v.strip() for v in raw.split(","))
-    if key in ("eps", "tol"):
-        return float(raw)
-    if key == "maxiter":
-        return int(raw)
-    return raw
+def _list_of(item):
+    return lambda raw: tuple(item(v.strip()) for v in raw.split(","))
+
+
+# config key -> ExperimentSpec field, command-line flag, parser of the text;
+# a list value is comma separated, e.g. nh=8,16,32
+Parameter = namedtuple("Parameter", "field flag parse")
+PARAMETERS = {
+    "model": Parameter("model", "--model", str),
+    "nh": Parameter("nh_list", "--nh", _list_of(int)),
+    "cells": Parameter("cells_list", "--cells", _list_of(int)),
+    "tau": Parameter("tau_list", "--tau", _list_of(float)),
+    "solvers": Parameter("solvers", "--solver", _list_of(str)),
+    "eps": Parameter("eps", "--eps", float),
+    "tol": Parameter("tol", "--tol", float),
+    "maxiter": Parameter("maxiter", "--maxiter", int),
+    "outdir": Parameter("outdir", "--outdir", str),
+}
+
+
+def spec_from_text(text: dict) -> ExperimentSpec:
+    """The spec whose given parameters are ``{config key: text}``; the rest keep defaults."""
+    fields = {}
+    for key, raw in text.items():
+        try:
+            fields[PARAMETERS[key].field] = PARAMETERS[key].parse(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse {raw.strip()!r} ({exc})") from exc
+    return ExperimentSpec(**fields)
 
 
 def parse_config(path) -> ExperimentSpec:
-    """Flat key=value config; lists are comma separated, e.g. nh=8,16,32."""
-    mapping = {
-        "model": "model",
-        "nh": "nh_list",
-        "cells": "cells_list",
-        "tau": "tau_list",
-        "solvers": "solvers",
-        "eps": "eps",
-        "tol": "tol",
-        "maxiter": "maxiter",
-        "outdir": "outdir",
-    }
-    kwargs = {}
+    """Flat key=value config, one parameter per line; a repeated key is an error."""
+    text = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -141,21 +150,30 @@ def parse_config(path) -> ExperimentSpec:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in mapping:
+        if key not in PARAMETERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        kwargs[mapping[key]] = _parse_value(key, raw)
+        if key in text:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        text[key] = raw
     try:
-        return ExperimentSpec(**kwargs)
-    except (GeometryError, ConfigError) as exc:
+        return spec_from_text(text)
+    except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def single_values(spec: ExperimentSpec, *keys) -> tuple:
+    """The one value of each list parameter named by config key; ConfigError otherwise."""
+    for key in keys:
+        given = getattr(spec, PARAMETERS[key].field)
+        if len(given) != 1:
+            raise ConfigError(f"expected one {key} value, got {len(given)}: {given}")
+    return tuple(getattr(spec, PARAMETERS[key].field)[0] for key in keys)
 
 
 @dataclass
 class Case:
     """One assembled and pinned problem instance."""
 
-    mesh: StructuredMesh
-    labeling: SubdomainLabeling
     dofmap: DofMap
     operators: OperatorSet
     system: BlockSystem  # pinned
@@ -174,10 +192,10 @@ def build_case(model: str, nh: int, n_cells: int, tau: float, eps: float = 1e-4)
     operators = assemble_operators(mesh, labeling, dofmap, config)
     unpinned = build_system(operators)
     pinned = pin_nullspace(unpinned)
-    return Case(mesh, labeling, dofmap, operators, pinned, unpinned)
+    return Case(dofmap, operators, pinned, unpinned)
 
 
-def _membrane_mass_dominates(case: Case, factor: float = 10.0) -> bool:
+def _membrane_mass_dominates(case: Case) -> bool:
     """True when the membrane mass dwarfs the scaled stiffness on the diagonal.
 
     In that regime, point relaxation in nodal variables cannot see the
@@ -191,7 +209,7 @@ def _membrane_mass_dominates(case: Case, factor: float = 10.0) -> bool:
         return False
     mass = ops.membrane_mass.diagonal()[mem]
     stiff = ops.config.tau_per_dof(dofmap.block_sizes)[mem] * ops.stiffness.diagonal()[mem]
-    return float(np.median(mass)) >= factor * float(np.median(stiff))
+    return float(np.median(mass)) >= AMG_BASIS_MASS_RATIO * float(np.median(stiff))
 
 
 def _build_preconditioner(case: Case, solver: str, eps: float):
@@ -234,27 +252,29 @@ def _result_row(spec, case: Case | None, dofmap: DofMap, nh, n_cells, tau, solve
     )
 
 
-_TABLE_AXES = {"refinement": "nh_list", "tau": "tau_list", "cells": "cells_list"}
+_TABLE_AXES = {"refinement": "nh", "tau": "tau", "cells": "cells"}
 
 
 def run_table(spec: ExperimentSpec, kind: str) -> list:
     """One row per (value, solver) along the axis named by ``kind``.
 
     ``refinement`` varies nh, ``tau`` the time constant (model A only) and
-    ``cells`` the cell count; the other two values are the first of their
-    lists.  A run whose solvers are all ``geometry`` builds only the dof map.
+    ``cells`` the cell count; the other two lists must hold one value each.
+    A run whose solvers are all ``geometry`` builds only the dof map.
     With ``spec.outdir`` the rows are also written to ``table_<kind>.csv``.
     """
     if kind not in _TABLE_AXES:
         raise ConfigError(f"unknown table kind {kind!r}")
     if kind == "tau" and spec.model != "A":
         raise ConfigError("the time-step table is defined for model A")
+    axis = _TABLE_AXES[kind]
+    fixed = [key for key in _TABLE_AXES.values() if key != axis]
+    point = dict(zip(fixed, single_values(spec, *fixed)))
     geometry_only = all(solver == "geometry" for solver in spec.solvers)
     rows = [eio.CSV_HEADER]
-    for value in getattr(spec, _TABLE_AXES[kind]):
-        nh = int(value if kind == "refinement" else spec.nh_list[0])
-        n_cells = int(value if kind == "cells" else spec.cells_list[0])
-        tau = float(value if kind == "tau" else spec.tau_list[0])
+    for value in getattr(spec, PARAMETERS[axis].field):
+        point[axis] = value
+        nh, n_cells, tau = int(point["nh"]), int(point["cells"]), float(point["tau"])
         if geometry_only:
             case, dofmap = None, _build_geometry(spec.model, nh, n_cells)[2]
         else:
@@ -280,11 +300,7 @@ def run_spectral_suite(spec: ExperimentSpec) -> dict:
     matrix against the constant symbol, and a Toeplitz comparison of
     matching size.
     """
-    for name, values in (("cells", spec.cells_list), ("tau", spec.tau_list)):
-        if len(values) != 1:
-            raise ConfigError(f"the spectral suite takes one {name} value, got {len(values)}")
-    n_cells = int(spec.cells_list[0])
-    tau = float(spec.tau_list[0])
+    n_cells, tau = single_values(spec, "cells", "tau")
     symbol = p1_laplacian_symbol()
     results = {"scaled": [], "offdiag_zero": [], "preconditioned": [], "szego": []}
 

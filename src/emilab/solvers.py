@@ -351,9 +351,10 @@ def _aggregate(S: sp.csr_matrix) -> tuple[np.ndarray, int]:
 AMG_THETA = 0.08  # strength-of-connection threshold
 AMG_OMEGA = 2.0 / 3.0  # damping of the prolongator's Jacobi smoothing step
 AMG_MAX_LEVELS = 25  # depth cap of the hierarchy
+AMG_COARSE_N = 200  # coarsening stops at this many rows; the last level is solved densely
 
 
-def amg_build(A, target_coarse: int = 200) -> AmgHierarchy:
+def amg_build(A) -> AmgHierarchy:
     """Build a smoothed-aggregation hierarchy down to a small dense coarse grid.
 
     Tentative prolongators are piecewise constant over greedy strength-based
@@ -365,7 +366,7 @@ def amg_build(A, target_coarse: int = 200) -> AmgHierarchy:
     A.sort_indices()
     levels: list[AmgLevel] = []
     sizes = [A.shape[0]]
-    while A.shape[0] > target_coarse and len(levels) < AMG_MAX_LEVELS:
+    while A.shape[0] > AMG_COARSE_N and len(levels) < AMG_MAX_LEVELS:
         S = _strength_graph(A, AMG_THETA)
         agg, n_agg = _aggregate(S)
         if n_agg >= 0.9 * A.shape[0]:

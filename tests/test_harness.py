@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from emilab import harness
+from emilab import cli, harness
 from emilab.cli import main
 from emilab.fem import ProblemConfig
 from emilab.harness import (
@@ -72,6 +72,21 @@ def test_parse_config_rejects_bad_line(tmp_path):
         parse_config(cfg)
 
 
+def test_parse_config_names_the_key_it_cannot_parse(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nh=8,x\n")
+    with pytest.raises(ConfigError, match="nh: cannot parse '8,x'"):
+        parse_config(cfg)
+
+
+def test_parse_config_rejects_duplicate_key(tmp_path):
+    """A repeated key would silently replace the earlier value."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nh=8\nnh=16\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: duplicate key 'nh'"):
+        parse_config(cfg)
+
+
 def test_spec_validates_compatibility():
     with pytest.raises((ConfigError, Exception)):
         ExperimentSpec(model="A", nh_list=(8,), cells_list=(25,))
@@ -135,6 +150,14 @@ def test_tau_table_single_value():
     rows = run_table(spec, "tau")
     assert len(rows) == 3
     assert all(",0.05," in row for row in rows[1:])
+
+
+def test_table_rejects_a_list_it_does_not_sweep(monkeypatch):
+    """The unswept lists hold one value each; the check comes before any build."""
+    monkeypatch.setattr(harness, "build_mesh", lambda nh: pytest.fail("a mesh was built"))
+    spec = ExperimentSpec(model="A", nh_list=(16,), cells_list=(1,), tau_list=(0.01, 1.0))
+    with pytest.raises(ConfigError, match="expected one tau value, got 2"):
+        run_table(spec, "refinement")
 
 
 def test_tau_table_rejects_model_b():
@@ -410,6 +433,15 @@ _IGNORED_FLAG_RUNS = {
     "spectra-cells-list": ["spectra", "--nh", "16", "--cells", "1,25", "--outdir", "{out}"],
     "spectra-tau-list": ["spectra", "--nh", "16", "--tau", "0.01,1.0", "--outdir", "{out}"],
     "spectra-config-cells-list": ["spectra", "--config", "{cells_cfg}"],
+    # a table sweeps one list: the other two hold one value each
+    "table-cells-list": ["table", "--kind", "refinement", "--nh", "16", "--cells", "1,25",
+                         "--solver", "geometry", "--csv", "{out}"],
+    "table-tau-list": ["table", "--kind", "cells", "--cells", "1", "--tau", "0.01,1.0",
+                       "--solver", "geometry", "--csv", "{out}"],
+    "table-config-nh-list": ["table", "--kind", "cells", "--config", "{nh_cfg}"],
+    # solve runs one solver, and geometry is not one it runs
+    "solve-solver-list": ["solve", "--nh", "8", "--solver", "cg,amg", "--csv", "{out}"],
+    "solve-geometry": ["solve", "--nh", "8", "--solver", "geometry", "--csv", "{out}"],
 }
 
 
@@ -421,8 +453,10 @@ def test_cli_rejects_flags_its_subcommand_ignores(tmp_path, capsys, name):
     out = tmp_path / "out"
     cells_cfg = tmp_path / "cells.cfg"
     cells_cfg.write_text(f"nh=16\ncells=1,25\noutdir={out}\n")
+    nh_cfg = tmp_path / "nh.cfg"
+    nh_cfg.write_text(f"nh=16,32\ncells=1\nsolvers=geometry\noutdir={out}\n")
     argv = [
-        arg.format(cfg=cfg, cells_cfg=cells_cfg, tmp=tmp_path, out=out)
+        arg.format(cfg=cfg, cells_cfg=cells_cfg, nh_cfg=nh_cfg, tmp=tmp_path, out=out)
         for arg in _IGNORED_FLAG_RUNS[name]
     ]
     try:
@@ -431,6 +465,40 @@ def test_cli_rejects_flags_its_subcommand_ignores(tmp_path, capsys, name):
         code = exc.code
     assert code == 2
     assert not out.exists()
+
+
+# config key, its flag, a value's text, and the spec field it sets to what
+_PARAMETER_SPELLINGS = [
+    ("model", "--model", "B", "model", "B"),
+    ("nh", "--nh", "16,32", "nh_list", (16, 32)),
+    ("cells", "--cells", "25", "cells_list", (25,)),
+    ("tau", "--tau", "0.5, 1e-3", "tau_list", (0.5, 1e-3)),
+    ("solvers", "--solver", "ilu,amg", "solvers", ("ilu", "amg")),
+    ("eps", "--eps", "0.003", "eps", 0.003),
+    ("tol", "--tol", "1e-6", "tol", 1e-6),
+    ("maxiter", "--maxiter", "77", "maxiter", 77),
+    ("outdir", "--outdir", "runs/a", "outdir", "runs/a"),
+]
+
+
+def test_parameter_spellings_cover_the_table():
+    assert [key for key, *_ in _PARAMETER_SPELLINGS] == list(harness.PARAMETERS)
+
+
+@pytest.mark.parametrize(
+    "key,flag,text,field,value", _PARAMETER_SPELLINGS, ids=[s[0] for s in _PARAMETER_SPELLINGS]
+)
+def test_config_line_and_flag_give_the_same_spec(
+    tmp_path, capsys, monkeypatch, key, flag, text, field, value
+):
+    specs = []
+    monkeypatch.setattr(cli, "run_table", lambda spec, kind: specs.append(spec) or [CSV_HEADER])
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key}={text}\n")
+    assert main(["table", "--config", str(cfg)]) == 0
+    assert main(["table", flag, text]) == 0
+    from_config, from_flag = specs
+    assert from_config == from_flag == ExperimentSpec(**{field: value})
 
 
 def test_cli_table(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
+from emilab import solvers
 from emilab.fem import ProblemConfig, assemble_operators
 from emilab.meshgen import build_dofmap, build_mesh, label_model_a, label_model_b
 from emilab.solvers import (
@@ -271,9 +272,10 @@ def test_blockdiag_rejects_bad_eps(eps):
 # AMG
 
 
-def test_amg_1d_poisson_model_problem():
+def test_amg_1d_poisson_model_problem(monkeypatch):
     A = tridiag_laplacian(64)
-    h = amg_build(A, target_coarse=8)
+    monkeypatch.setattr(solvers, "AMG_COARSE_N", 8)
+    h = amg_build(A)
     assert len(h.levels) >= 2
     assert all(a > b for a, b in zip(h.sizes, h.sizes[1:]))
     assert h.sizes[-1] <= 8
@@ -287,15 +289,16 @@ def test_amg_1d_poisson_model_problem():
 
 def test_amg_identity_is_identity_action():
     A = sp.eye(64, format="csr")
-    h = amg_build(A, target_coarse=200)
+    h = amg_build(A)
     assert len(h.levels) == 0
     r = np.sin(np.arange(64, dtype=float))
     assert np.allclose(amg_vcycle(h, r), r, rtol=1e-13)
 
 
-def test_amg_galerkin_identity():
+def test_amg_galerkin_identity(monkeypatch):
     A = dirichlet_laplacian_2d(24)
-    h = amg_build(A, target_coarse=50)
+    monkeypatch.setattr(solvers, "AMG_COARSE_N", 50)
+    h = amg_build(A)
     rng = np.random.default_rng(17)
     norm_a = np.abs(A).sum(axis=1).max()
     for lvl, nxt in zip(h.levels, h.levels[1:] + [None]):
@@ -309,16 +312,18 @@ def test_amg_galerkin_identity():
             assert gap <= 1e-12 * norm_a * np.linalg.norm(v)
 
 
-def test_amg_vcycle_zero_input():
+def test_amg_vcycle_zero_input(monkeypatch):
     A = dirichlet_laplacian_2d(16)
-    h = amg_build(A, target_coarse=50)
+    monkeypatch.setattr(solvers, "AMG_COARSE_N", 50)
+    h = amg_build(A)
     z = amg_vcycle(h, np.zeros(A.shape[0]))
     assert np.all(z == 0.0)
 
 
-def test_amg_vcycle_symmetric():
+def test_amg_vcycle_symmetric(monkeypatch):
     A = dirichlet_laplacian_2d(24)
-    h = amg_build(A, target_coarse=50)
+    monkeypatch.setattr(solvers, "AMG_COARSE_N", 50)
+    h = amg_build(A)
     rng = np.random.default_rng(23)
     for _ in range(5):
         r1, r2 = rng.standard_normal((2, A.shape[0]))
@@ -329,15 +334,16 @@ def test_amg_vcycle_symmetric():
 
 def test_amg_level_sizes():
     A = dirichlet_laplacian_2d(64)
-    h = amg_build(A, target_coarse=200)
+    h = amg_build(A)
     assert all(a > b for a, b in zip(h.sizes, h.sizes[1:]))
     assert h.sizes[-1] <= 200
 
 
-def test_amg_stagnation_aborts():
+def test_amg_stagnation_aborts(monkeypatch):
     A = sp.eye(500, format="csr")  # no strong couplings anywhere
+    monkeypatch.setattr(solvers, "AMG_COARSE_N", 100)
     with pytest.raises(AmgError):
-        amg_build(A, target_coarse=100)
+        amg_build(A)
 
 
 def test_amg_on_pinned_system():
@@ -523,8 +529,9 @@ def test_triangle_factor_ilu0_triangles():
     _assert_triangle_factor_matches(prec.upper, False, rng)
 
 
-def test_triangle_factor_amg_level_triangles():
-    h = amg_build(dirichlet_laplacian_2d(24), target_coarse=50)
+def test_triangle_factor_amg_level_triangles(monkeypatch):
+    monkeypatch.setattr(solvers, "AMG_COARSE_N", 50)
+    h = amg_build(dirichlet_laplacian_2d(24))
     assert len(h.levels) >= 2
     rng = np.random.default_rng(43)
     for lvl in h.levels:
