@@ -36,6 +36,7 @@ from .solvers import (
     AmgPreconditioner,
     SolverConfig,
     amg_build,
+    blockdiag_matrix,
     blockdiag_prec,
     cg_solve,
     ilu0_factor,
@@ -337,9 +338,9 @@ def run_spectral_suite(spec: ExperimentSpec) -> dict:
         record("offdiag_zero", nh, offdiag_stats)
 
         def preconditioned_report():
-            prec = blockdiag_prec(case.operators, eps=spec.eps)
+            block_matrix = blockdiag_matrix(case.operators, spec.eps)
             gen_eigs = la.eigh(
-                system.matrix.toarray(), prec.matrix.toarray(), eigvals_only=True
+                system.matrix.toarray(), block_matrix.toarray(), eigvals_only=True
             )
             return distribution_distance(np.sort(gen_eigs), constant_symbol(1.0))
 

@@ -326,6 +326,14 @@ def label_model_b(mesh: StructuredMesh, n_cells: int) -> SubdomainLabeling:
     return SubdomainLabeling("B", n_cells, cell_of, membrane)
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an integer array, by one sort and an adjacent-difference mask."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def build_dofmap(mesh: StructuredMesh, labeling: SubdomainLabeling) -> DofMap:
     """Enumerate dofs subdomain-major, duplicating membrane vertices.
 
@@ -337,13 +345,13 @@ def build_dofmap(mesh: StructuredMesh, labeling: SubdomainLabeling) -> DofMap:
     nv = mesh.n_vertices
     tri = mesh.triangles
     # (subdomain, vertex) incidence, encoded to sort/unique quickly
-    keys = np.unique(np.repeat(labeling.cell_of, 3) * nv + tri.ravel())
+    keys = _sorted_unique(np.repeat(labeling.cell_of, 3) * nv + tri.ravel())
     sub = keys // nv
     vert = keys % nv
 
     me = labeling.membrane_edges
     if len(me):
-        mkeys = np.unique(
+        mkeys = _sorted_unique(
             np.concatenate(
                 [
                     me[:, 2] * nv + me[:, 0],

@@ -1,9 +1,13 @@
 """Solver stack: preconditioned CG, ILU(0), exact block solves, one-cycle AMG.
 
 Every preconditioner is a callable ``z = M(r)`` whose action is linear and
-symmetric, as required for CG.  The AMG preconditioner applies a single
-V(1,1) cycle of a smoothed-aggregation hierarchy with symmetric
-Gauss-Seidel smoothing, built once per matrix.
+symmetric, as required for CG.  The block-diagonal preconditioner is
+factored once, by one of two paths: when every cell block is small
+(``DENSE_BLOCK_MAX`` dofs), SuperLU factors the extracellular block and the
+cell blocks are applied through their dense inverse Cholesky factors;
+otherwise one SuperLU factor covers the whole matrix.  The AMG
+preconditioner applies a single V(1,1) cycle of a smoothed-aggregation
+hierarchy with symmetric Gauss-Seidel smoothing, built once per matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "ILU0Preconditioner",
     "ilu0_factor",
     "BlockDiagPreconditioner",
+    "blockdiag_matrix",
     "blockdiag_prec",
     "AmgLevel",
     "AmgHierarchy",
@@ -237,38 +242,110 @@ def ilu0_factor(A) -> ILU0Preconditioner:
 # Exact block-diagonal preconditioner
 
 
+DENSE_BLOCK_MAX = 64  # cell blocks up to this many dofs are factored densely
+
+
 @dataclass
 class BlockDiagPreconditioner:
-    """Exact solve of tau_i * (A_i + eps * Mtilde_i) per subdomain block."""
+    """Exact solve of tau_i * (A_i + eps * Mtilde_i) per subdomain block.
+
+    Without ``_inv_chol`` the action is ``_lu.solve``, one SuperLU factor of
+    the whole matrix.  With it, ``_lu`` factors the extracellular block only
+    and the cell blocks are applied as ``W^T (W r)``, where
+    ``W = diag(L_i^{-1})`` over the cell dofs and ``P_i = L_i L_i^T``.
+    """
 
     matrix: sp.csr_matrix
     eps: float
     _lu: object = field(repr=False, default=None)
+    _inv_chol: sp.csr_matrix | None = field(repr=False, default=None)
+    _inv_chol_t: sp.csr_matrix | None = field(repr=False, default=None)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self._lu.solve(r)
+        if self._inv_chol is None:
+            return self._lu.solve(r)
+        n0 = self._lu.shape[0]
+        cells = self._inv_chol_t @ (self._inv_chol @ r[n0:])
+        return np.concatenate([self._lu.solve(r[:n0]), cells])
 
 
-def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPreconditioner:
-    """Block-diagonal preconditioner tau_i * (A_i + eps * Mtilde_i).
+def blockdiag_matrix(operators, eps: float) -> sp.csr_matrix:
+    """The block-diagonal matrix tau_i * (A_i + eps * Mtilde_i), in CSR.
 
     The bulk mass is the full-rank regularization of each Neumann stiffness
-    block; the assembled block-diagonal matrix is SPD for any positive eps
-    and factorized once.  ``A + eps * Mtilde`` is formed unscaled and every
-    stored entry is then multiplied once by the tau_i of its row.
+    block, so the matrix is SPD for any positive eps.  ``A + eps * Mtilde``
+    is formed unscaled and every stored entry is then multiplied once by the
+    tau_i of its row.
     """
-    config = operators.config
-    eps = float(config.epsilon if eps is None else eps)
+    eps = float(eps)
     if not (eps > 0) or not np.isfinite(eps):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     P = (operators.stiffness + eps * operators.bulk_mass).tocsr()
-    row_tau = config.tau_per_dof(operators.dofmap.block_sizes)
+    row_tau = operators.config.tau_per_dof(operators.dofmap.block_sizes)
     P.data *= np.repeat(row_tau, np.diff(P.indptr))
+    return P
+
+
+def _inverse_cholesky_factor(P: sp.csr_matrix, block_start: np.ndarray) -> sp.csr_matrix:
+    """W = diag(L_i^{-1}) over the cell blocks 1.., where P_i = L_i L_i^T.
+
+    Blocks of one size are factored by one batched Cholesky and inverted by
+    one batched inverse, of which W keeps the lower triangle.  W's rows and
+    columns count from the first cell dof.
+    """
+    n0 = int(block_start[1])
+    starts = block_start[1:-1] - n0
+    sizes = np.diff(block_start[1:])
+    m = P.shape[0] - n0
+    # row k of a block holds k + 1 entries, so each block's lower triangle
+    # is one run of W's data in row-major order
+    local = np.arange(m) - np.repeat(starts, sizes)
+    indptr = np.concatenate([[0], np.cumsum(local + 1)])
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    data = np.empty(indptr[-1])
+    cells = P[n0:, n0:].tocoo()
+    block = np.repeat(np.arange(len(sizes)), sizes)[cells.row]
+    for size in np.unique(sizes):
+        of_size = sizes == size
+        members = np.flatnonzero(of_size)
+        slot = np.cumsum(of_size) - 1  # position of each block among its size
+        mine = sizes[block] == size
+        b = block[mine]
+        dense = np.zeros((len(members), size, size))
+        dense[slot[b], cells.row[mine] - starts[b], cells.col[mine] - starts[b]] = cells.data[mine]
+        lower = np.linalg.cholesky(dense)
+        i, j = np.tril_indices(size)
+        at = indptr[starts[members], None] + np.arange(len(i))
+        data[at] = np.linalg.inv(lower)[:, i, j]
+        indices[at] = starts[members, None] + j
+    return sp.csr_matrix((data, indices, indptr), shape=(m, m))
+
+
+def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPreconditioner:
+    """Block-diagonal preconditioner tau_i * (A_i + eps * Mtilde_i), factored once.
+
+    When every cell block has at most ``DENSE_BLOCK_MAX`` dofs, SuperLU
+    factors the extracellular block and the cell blocks get dense inverse
+    Cholesky factors, applied as two sparse products: for many small blocks
+    that beats SuperLU's per-supernode overhead.  The factors are L_i^{-1},
+    not P_i^{-1}: a cell block's condition number is about 5e8, and an
+    explicit P_i^{-1} raised the CG counts by 7-11%.  Otherwise one SuperLU
+    factor covers the whole matrix.
+    """
+    eps = float(operators.config.epsilon if eps is None else eps)
+    P = blockdiag_matrix(operators, eps)
+    block_start = operators.dofmap.block_start
+    n0 = int(block_start[1])
+    cell_sizes = np.diff(block_start[1:])
+    split = len(cell_sizes) > 0 and int(cell_sizes.max()) <= DENSE_BLOCK_MAX
     try:
-        lu = splu(P.tocsc())
-    except RuntimeError as exc:
+        if not split:
+            return BlockDiagPreconditioner(P, eps, splu(P.tocsc()))
+        lu = splu(P[:n0, :n0].tocsc())
+        W = _inverse_cholesky_factor(P, block_start)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"block preconditioner factorization failed: {exc}") from exc
-    return BlockDiagPreconditioner(P, eps, lu)
+    return BlockDiagPreconditioner(P, eps, lu, W, W.T.tocsr())
 
 
 # ---------------------------------------------------------------------------

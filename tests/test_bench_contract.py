@@ -37,6 +37,11 @@ def test_traced_pass_yields_benchmark_layer_metrics():
         for solver in SOLVERS:
             report, _ = harness.solve_case(case, solver, 1e-9, 20000, 1e-4)
             assert report.converged, solver
+        # A/16/1 has 81-dof cells (one SuperLU factor); B/16/4 has 49-dof
+        # cells, which take the split block-diagonal factorization
+        report, _ = harness.solve_case(harness.build_case("B", 16, 4, 0.01), "blockdiag",
+                                       1e-9, 20000, 1e-4)
+        assert report.converged
         spec = harness.ExperimentSpec(model="A", nh_list=(16,), cells_list=(1,))
         harness.run_spectral_suite(spec)
         seconds = time.perf_counter() - t0
@@ -47,6 +52,9 @@ def test_traced_pass_yields_benchmark_layer_metrics():
         for name, value in names.items():
             assert vars(module)[name] is value, f"{module.__name__}.{name} not restored"
 
+    blockdiag = [s for s in tracer.spans if s.name == "solvers.blockdiag_prec"]
+    assert [s.case for s in blockdiag] == ["A/16/1/1e-05", "B/16/4/0.01"]
+    assert all(s.counts["lu_nnz"] > 0 for s in blockdiag)
     metrics = tracing.layer_metrics(tracer.spans, seconds)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(metrics) | {"bench.trace_overhead"} == {m["name"] for m in declared}

@@ -293,3 +293,32 @@ def test_dof_lookup_broadcasts_over_subdomains():
     for bad in (-1, mesh.n_vertices):
         with pytest.raises(KeyError, match="subdomain 1"):
             dofmap.global_dofs(np.array([1, 1]), np.array([dofmap.vertex[-1], bad]))
+
+
+def _ref_dofmap_arrays(mesh, labeling):
+    """The dof map's arrays from the ``np.unique`` formulation of the key sets."""
+    nv = mesh.n_vertices
+    keys = np.unique(np.repeat(labeling.cell_of, 3) * nv + mesh.triangles.ravel())
+    sub, vert = keys // nv, keys % nv
+    me = labeling.membrane_edges
+    mkeys = np.unique(np.concatenate([me[:, a] * nv + me[:, b] for a in (2, 3) for b in (0, 1)]))
+    is_mem = np.isin(keys, mkeys, assume_unique=True)
+    order = np.lexsort((vert, is_mem.astype(np.int8), sub))
+    sub, vert, is_mem = sub[order], vert[order], is_mem[order]
+    block_start = np.concatenate([[0], np.cumsum(np.bincount(sub, minlength=labeling.n_subdomains))])
+    n_gamma_per = np.bincount(sub[is_mem], minlength=labeling.n_subdomains)
+    return {"subdomain": sub, "vertex": vert, "is_membrane": is_mem,
+            "block_start": block_start, "n_gamma_per": n_gamma_per}
+
+
+@pytest.mark.parametrize(
+    "model,nh,n_cells", [("A", 16, 1), ("B", 32, 16), ("A", 64, 441), ("B", 64, 576)]
+)
+def test_dofmap_matches_unique_formulation(model, nh, n_cells):
+    mesh = build_mesh(nh)
+    labeling = (label_model_a if model == "A" else label_model_b)(mesh, n_cells)
+    dofmap = build_dofmap(mesh, labeling)
+    for name, expected in _ref_dofmap_arrays(mesh, labeling).items():
+        got = getattr(dofmap, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name

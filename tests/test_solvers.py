@@ -1,12 +1,14 @@
 """Solver stack tests: CG behavior, ILU(0) exactness, AMG hierarchy checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from emilab import solvers
 from emilab.fem import ProblemConfig, assemble_operators
@@ -14,6 +16,7 @@ from emilab.meshgen import build_dofmap, build_mesh, label_model_a, label_model_
 from emilab.solvers import (
     AmgError,
     AmgPreconditioner,
+    DENSE_BLOCK_MAX,
     SolverConfig,
     _aggregate,
     _ilu0_sweep,
@@ -266,6 +269,63 @@ def test_blockdiag_rejects_bad_eps(eps):
     _, ops = _emi_case(8, 1)
     with pytest.raises(ValueError, match="positive and finite"):
         blockdiag_prec(ops, eps=eps)
+
+
+@pytest.mark.parametrize("model,nh,n_cells", [("A", 32, 25), ("B", 64, 576)])
+def test_blockdiag_split_path_backward_error(model, nh, n_cells):
+    """Normwise backward error of the split path, within 10 u of ||P||_1 ||z||_1."""
+    system, ops = _emi_case(nh, n_cells, model=model)
+    prec = blockdiag_prec(ops, eps=1e-4)
+    assert prec._inv_chol is not None
+    r = np.random.default_rng(17).standard_normal(system.n)
+    z = prec(r)
+    norm_p = float(abs(prec.matrix).sum(axis=0).max())
+    residual = np.abs(prec.matrix @ z - r).sum()
+    assert residual <= 10 * np.finfo(float).eps / 2 * norm_p * np.abs(z).sum()
+
+
+def test_blockdiag_split_path_symmetric_positive():
+    system, ops = _emi_case(64, 576, model="B")
+    prec = blockdiag_prec(ops, eps=1e-4)
+    n0 = ops.dofmap.n0
+    assert prec._lu.shape == (n0, n0)  # the extracellular factor only
+    W = prec._inv_chol
+    # the cell part is W^T W: W lower triangular with a positive diagonal, and
+    # the stored transpose is W's transpose bit for bit
+    assert W.shape == (system.n - n0,) * 2
+    assert sp.triu(W, 1).nnz == 0
+    assert np.all(W.diagonal() > 0)
+    assert (prec._inv_chol_t != W.T).nnz == 0
+    rng = np.random.default_rng(23)
+    r = rng.standard_normal(system.n)
+    z = prec(r)
+    assert np.array_equal(z[n0:], prec._inv_chol_t @ (W @ r[n0:]))
+    for _ in range(5):
+        v = rng.standard_normal(system.n)
+        assert v @ prec(v) > 0.0
+    r1, r2 = rng.standard_normal((2, system.n))
+    assert r2 @ prec(r1) == pytest.approx(r1 @ prec(r2), rel=1e-10)
+
+
+def test_blockdiag_large_cells_use_one_factor():
+    """Cells above DENSE_BLOCK_MAX dofs keep one SuperLU factor of the whole matrix."""
+    system, ops = _emi_case(32, 1)
+    assert ops.dofmap.block_sizes[1:].max() > DENSE_BLOCK_MAX
+    prec = blockdiag_prec(ops, eps=1e-4)
+    assert prec._inv_chol is None
+    r = np.random.default_rng(29).standard_normal(system.n)
+    assert np.array_equal(prec(r), splu(prec.matrix.tocsc()).solve(r))
+
+
+def test_blockdiag_indefinite_cell_block_raises():
+    _, ops = _emi_case(16, 4, model="B")
+    s1, e1 = ops.dofmap.block_range(1)
+    stiffness = ops.stiffness.copy()
+    rows = np.repeat(np.arange(ops.dofmap.n), np.diff(stiffness.indptr))
+    stiffness.data[(rows >= s1) & (rows < e1)] *= -1.0
+    bad = dataclasses.replace(ops, stiffness=stiffness)
+    with pytest.raises(RuntimeError, match="block preconditioner factorization failed"):
+        blockdiag_prec(bad, eps=1e-4)
 
 
 # ---------------------------------------------------------------------------
