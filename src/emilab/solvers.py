@@ -179,61 +179,162 @@ def _diagonal_positions(A: sp.csr_matrix) -> np.ndarray:
     return pos
 
 
-def _ilu0_sweep(A: sp.csr_matrix) -> tuple[np.ndarray, float]:
-    """In-place IKJ elimination on a CSR copy; returns (data, min |pivot|).
+def _segments(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[m], stops[m])`` over m, without a loop."""
+    lens = stops - starts
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()))
 
-    The loops index memoryviews of the CSR arrays, which yield Python ints
-    and floats; the arithmetic is the same IEEE double arithmetic.  The sweep
-    stops at an exactly zero pivot, since min |pivot| is then 0 whatever follows.
+
+def _row_levels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Level of each row in the dependency graph of a strictly lower pattern.
+
+    Row i reads every row k of its stored entries (i, k), k < i, and sits one
+    level after the deepest of them (level 0 without such entries).  Levels
+    are peeled off one at a time (Kahn's order); each costs work in
+    proportion to the dependency edges leaving it, not to n.
     """
-    data = A.data
-    diag = memoryview(_diagonal_positions(A))
-    indptr, indices, vals = memoryview(A.indptr), memoryview(A.indices), memoryview(data)
-    min_piv = np.inf
-    for i in range(A.shape[0]):
-        s, e = indptr[i], indptr[i + 1]
-        row_map = {indices[t]: t for t in range(s, e)}
-        for jj in range(s, e):
-            k = indices[jj]
-            if k >= i:
-                break
-            dk = diag[k]
-            lik = vals[jj] / vals[dk]
-            vals[jj] = lik
-            for pp in range(dk + 1, indptr[k + 1]):
-                t = row_map.get(indices[pp])
-                if t is not None:
-                    vals[t] -= lik * vals[pp]
-        piv = abs(vals[diag[i]])
-        if piv == 0.0:
-            return data, 0.0  # a later row would divide by it; the caller shifts
-        min_piv = min(min_piv, piv)
-    return data, min_piv
+    order = np.argsort(cols, kind="stable")
+    readers = rows[order]
+    start = np.searchsorted(cols[order], np.arange(n + 1))
+    pending = np.bincount(rows, minlength=n)
+    level = np.empty(n, dtype=np.intp)
+    front = np.flatnonzero(pending == 0)
+    depth = 0
+    while front.size:
+        level[front] = depth
+        reached, counts = np.unique(
+            readers[_segments(start[front], start[front + 1])], return_counts=True
+        )
+        pending[reached] -= counts
+        front = reached[pending[reached] == 0]
+        depth += 1
+    return level
+
+
+@dataclass(frozen=True)
+class _Ilu0Schedule:
+    """The IKJ elimination of one CSR pattern, grouped into parallel steps.
+
+    A step is one (level, rank) pair: the rank-th L entry (i, k) of every row
+    i of the level, with its pivot position ``diag[k]`` and the updates
+    a_ij -= l_ik * u_kj it makes (target, L owner, U source).  Within a step
+    every target is distinct, and each entry receives its updates in the
+    order of k, as in the row-by-row loop.
+    """
+
+    diag: np.ndarray
+    steps: list  # (l, dk, target, owner, source) position arrays per step
+
+
+_UPDATE_BLOCK = 1 << 14  # L entries whose candidate updates are matched at once
+
+
+def _ilu0_schedule(A: sp.csr_matrix) -> _Ilu0Schedule:
+    """Plan the ILU(0) sweep of A (sorted indices, no duplicates) from its pattern."""
+    n = A.shape[0]
+    indptr, indices = A.indptr, A.indices
+    diag = _diagonal_positions(A)
+    first = indptr[:-1]
+    pos = _segments(first, diag)  # strictly lower entries, row by row
+    rows = np.repeat(np.arange(n), diag - first)
+    rank = pos - first[rows]
+    key = _row_levels(n, rows, indices[pos])[rows] * (int(rank.max(initial=0)) + 1) + rank
+    order = np.argsort(key, kind="stable")
+    pos, rows, key = pos[order], rows[order], key[order]
+    cuts = np.flatnonzero(np.diff(key)) + 1
+    # every update (i, j) -= (i, k) * (k, j) with (k, j) in the U part of row k
+    # and (i, j) stored, found by row-major key i*n + j; the candidates of a
+    # block of L entries at a time, which bounds the transient arrays
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    keys = np.append(keys, -1)  # a search past the end reads -1, never a key
+    cols = indices[pos]
+    found = []
+    for a in range(0, max(pos.size, 1), _UPDATE_BLOCK):  # one block at least, if empty
+        c = cols[a : a + _UPDATE_BLOCK]
+        entry = np.repeat(np.arange(a, a + c.size), indptr[c + 1] - diag[c] - 1)
+        source = _segments(diag[c] + 1, indptr[c + 1])
+        wanted = rows[entry] * n + indices[source]
+        target = np.searchsorted(keys[:-1], wanted)
+        hit = keys[target] == wanted
+        found.append((entry[hit], target[hit], source[hit]))
+    entry, target, source = (np.concatenate(f) for f in zip(*found))
+    owner, pivot = pos[entry], diag[cols]
+    bounds = np.concatenate([[0], cuts, [pos.size]]).tolist()
+    tbounds = np.searchsorted(entry, bounds).tolist()
+    steps = [
+        (pos[a:b], pivot[a:b], target[c:d], owner[c:d], source[c:d])
+        for a, b, c, d in zip(bounds[:-1], bounds[1:], tbounds[:-1], tbounds[1:])
+    ]
+    return _Ilu0Schedule(diag, steps)
+
+
+def _ilu0_numeric(schedule: _Ilu0Schedule, vals: np.ndarray) -> float:
+    """Run the scheduled elimination on ``vals`` in place; returns min |pivot|.
+
+    An exactly zero pivot gives 0.0; the later rows then divide by it, which
+    is harmless since the caller discards such a factor.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for l, dk, t, own, src in schedule.steps:
+            vals[l] /= vals[dk]
+            vals[t] -= vals[own] * vals[src]
+        piv = np.abs(vals[schedule.diag])
+    return 0.0 if not piv.all() else float(piv.min(initial=np.inf))
+
+
+def _ilu0_sweep(A: sp.csr_matrix) -> tuple[np.ndarray, float]:
+    """ILU(0) elimination in place on a CSR copy; returns (data, min |pivot|).
+
+    A level-scheduled sweep: its factors are bitwise equal to those of the
+    row-by-row IKJ loop, since every entry receives the same IEEE operations
+    in the same order.  An exactly zero pivot yields min |pivot| 0.0.
+    """
+    min_piv = _ilu0_numeric(_ilu0_schedule(A), A.data)
+    return A.data, min_piv
+
+
+def _row_ranges(A: sp.csr_matrix, vals: np.ndarray, starts, stops) -> sp.csr_matrix:
+    """CSR matrix of A's shape with the entries ``[starts[i], stops[i])`` of row i."""
+    pos = _segments(starts, stops)
+    indptr = np.concatenate([[0], np.cumsum(stops - starts)])
+    return sp.csr_matrix((vals[pos], A.indices[pos], indptr), shape=A.shape)
 
 
 ILU_SHIFT_TRIES = 6  # factorizations tried: unshifted, then shifts growing 100x
 
 
 def ilu0_factor(A) -> ILU0Preconditioner:
-    """ILU(0): L and U inherit the sparsity pattern of A, row by row.
+    """ILU(0): L and U inherit the stored sparsity pattern of A, row by row.
 
-    On a (near-)zero pivot the factorization restarts from A plus a small
-    diagonal shift, escalating until the pivots are safe; the shift actually
-    used is recorded on the returned preconditioner.
+    The set-up is level-scheduled (``_ilu0_schedule``), and its factors are
+    bitwise equal to those of the row-by-row IKJ sweep.  A non-finite entry
+    is rejected up front.  On a (near-)zero pivot the factorization restarts
+    from A plus a small diagonal shift, escalating until the pivots are safe;
+    the schedule is planned once, since a shift leaves the pattern as it is.
+    The shift actually used is recorded on the returned preconditioner.
     """
     A = sp.csr_matrix(A, dtype=float).copy()
-    A.sort_indices()
+    A.sum_duplicates()
+    bad = np.flatnonzero(~np.isfinite(A.data))
+    if bad.size:
+        p = int(bad[0])
+        row = int(np.searchsorted(A.indptr, p, side="right")) - 1
+        raise ValueError(f"matrix has a non-finite entry at ({row}, {A.indices[p]})")
+    schedule = _ilu0_schedule(A)
     scale = float(np.abs(A.data).max()) if A.nnz else 1.0
     piv_tol = 1e-12 * scale
     shift = 0.0
     for _ in range(ILU_SHIFT_TRIES):
-        work = A.copy() if shift == 0.0 else (A + shift * sp.eye(A.shape[0], format="csr")).tocsr()
-        work.sort_indices()
-        _, min_piv = _ilu0_sweep(work)
+        vals = A.data.copy()
+        vals[schedule.diag] += shift
+        min_piv = _ilu0_numeric(schedule, vals)
         if np.isfinite(min_piv) and min_piv > piv_tol:
-            lower = sp.tril(work, -1, format="csr") + sp.eye(work.shape[0], format="csr")
-            upper = sp.triu(work, format="csr")
-            return ILU0Preconditioner(lower.tocsr(), upper.tocsr(), shift)
+            first, last, diag = A.indptr[:-1], A.indptr[1:], schedule.diag
+            lower = _row_ranges(A, vals, first, diag + 1)
+            lower.data[lower.indptr[1:] - 1] = 1.0  # unit diagonal
+            upper = _row_ranges(A, vals, diag, last)
+            return ILU0Preconditioner(lower, upper, shift)
         shift = 1e-8 * scale if shift == 0.0 else shift * 100.0
     raise RuntimeError("ILU(0) pivot breakdown persists after diagonal shifts")
 

@@ -488,6 +488,33 @@ def _ref_ilu0_sweep(A):
     return data, min_piv
 
 
+def _loop_ilu0_sweep(A):
+    """Row-by-row IKJ sweep over memoryviews, stopping at an exactly zero pivot."""
+    data = A.data
+    diag = memoryview(solvers._diagonal_positions(A))
+    indptr, indices, vals = memoryview(A.indptr), memoryview(A.indices), memoryview(data)
+    min_piv = np.inf
+    for i in range(A.shape[0]):
+        s, e = indptr[i], indptr[i + 1]
+        row_map = {indices[t]: t for t in range(s, e)}
+        for jj in range(s, e):
+            k = indices[jj]
+            if k >= i:
+                break
+            dk = diag[k]
+            lik = vals[jj] / vals[dk]
+            vals[jj] = lik
+            for pp in range(dk + 1, indptr[k + 1]):
+                t = row_map.get(indices[pp])
+                if t is not None:
+                    vals[t] -= lik * vals[pp]
+        piv = abs(vals[diag[i]])
+        if piv == 0.0:
+            return data, 0.0
+        min_piv = min(min_piv, piv)
+    return data, min_piv
+
+
 def _ref_aggregate(S):
     """Reference greedy aggregation with numpy fancy indexing per row."""
     n = S.shape[0]
@@ -554,6 +581,61 @@ def test_ilu0_sweep_matches_reference(name):
     ref_data, ref_piv = _ref_ilu0_sweep(A.copy())
     assert np.array_equal(data, ref_data)
     assert piv == ref_piv
+
+
+@pytest.mark.parametrize(
+    "model, nh, cells, tau",
+    [("A", 64, 441, 1e-5), ("B", 64, 576, 0.01), ("B", 128, 16, 0.01)],
+)
+def test_ilu0_sweep_matches_loop_at_bench_scale(model, nh, cells, tau):
+    """The level-scheduled sweep is bitwise equal to the row-by-row loop."""
+    A = _sorted_csr(_emi_case(nh, cells, tau=tau, model=model)[0].matrix)
+    data, piv = _ilu0_sweep(A.copy())
+    ref_data, ref_piv = _loop_ilu0_sweep(A.copy())
+    assert data.tobytes() == ref_data.tobytes()
+    assert piv == ref_piv
+
+
+def _later_zero_pivot_matrix():
+    """Three interleaved chains with diagonal (1, 2, 2, 1, 2, 2) and unit
+    neighbours: the pivots are 1, 1, 1, 0 exactly, so the first zero pivots
+    are rows 9-11, three per level, at level 3."""
+    chain = sp.diags([np.ones(5), [1.0, 2.0, 2.0, 1.0, 2.0, 2.0], np.ones(5)], [-1, 0, 1])
+    return _sorted_csr(sp.kron(chain, sp.eye(3)))
+
+
+def test_ilu0_later_zero_pivot_reported():
+    A = _later_zero_pivot_matrix()
+    data, piv = _ilu0_sweep(A.copy())
+    ref_data, ref_piv = _loop_ilu0_sweep(A.copy())
+    assert piv == ref_piv == 0.0
+    done = A.indptr[10]  # the loop stops after row 9, the first zero pivot
+    assert data[:done].tobytes() == ref_data[:done].tobytes()
+    assert data[solvers._diagonal_positions(A)[9]] == 0.0
+
+
+def test_ilu0_shifted_factor_matches_loop_oracle():
+    """A factor accepted after a shift is the loop's sweep of A + shift * I."""
+    A = _later_zero_pivot_matrix()
+    prec = ilu0_factor(A)
+    assert prec.shift > 0.0
+    shifted = _sorted_csr(A + prec.shift * sp.eye(A.shape[0]))
+    _, piv = _loop_ilu0_sweep(shifted)
+    assert piv > 0.0
+    lower = sp.tril(shifted, -1, format="csr") + sp.eye(A.shape[0], format="csr")
+    for got, want in ((prec.lower, lower), (prec.upper, sp.triu(shifted, format="csr"))):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ilu0_non_finite_entry_rejected(bad):
+    """A non-finite entry fails before any sweep, naming its position."""
+    A = tridiag_laplacian(6).tolil()
+    A[2, 3] = A[3, 2] = bad
+    with pytest.raises(ValueError, match=r"non-finite entry at \(2, 3\)$"):
+        ilu0_factor(A.tocsr())
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
