@@ -164,21 +164,6 @@ class ILU0Preconditioner:
         return self._upper_lu.solve(self._lower_lu.solve(r))
 
 
-def _diagonal_positions(A: sp.csr_matrix) -> np.ndarray:
-    """Position in ``A.data`` of each row's diagonal; indices sorted per row."""
-    n = A.shape[0]
-    indptr, indices = A.indptr, A.indices
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    below = np.concatenate([[0], np.cumsum(indices < rows)])
-    pos = indptr[:-1] + (below[indptr[1:]] - below[indptr[:-1]])
-    ok = pos < indptr[1:]
-    ok[ok] = indices[pos[ok]] == np.flatnonzero(ok)
-    if not ok.all():
-        i = int(np.flatnonzero(~ok)[0])
-        raise ValueError(f"matrix lacks a stored diagonal entry in row {i}")
-    return pos
-
-
 def _segments(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(starts[m], stops[m])`` over m, without a loop."""
     lens = stops - starts
@@ -234,7 +219,14 @@ def _ilu0_schedule(A: sp.csr_matrix) -> _Ilu0Schedule:
     """Plan the ILU(0) sweep of A (sorted indices, no duplicates) from its pattern."""
     n = A.shape[0]
     indptr, indices = A.indptr, A.indices
-    diag = _diagonal_positions(A)
+    # row-major keys i*n + j of the stored entries, ascending; a search past
+    # the end reads the appended -1, never a key
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    keys = np.append(keys, -1)
+    diag = np.searchsorted(keys[:-1], np.arange(n, dtype=np.int64) * (n + 1))
+    missing = np.flatnonzero(keys[diag] != np.arange(n) * (n + 1))
+    if missing.size:
+        raise ValueError(f"matrix lacks a stored diagonal entry in row {missing[0]}")
     first = indptr[:-1]
     pos = _segments(first, diag)  # strictly lower entries, row by row
     rows = np.repeat(np.arange(n), diag - first)
@@ -244,10 +236,8 @@ def _ilu0_schedule(A: sp.csr_matrix) -> _Ilu0Schedule:
     pos, rows, key = pos[order], rows[order], key[order]
     cuts = np.flatnonzero(np.diff(key)) + 1
     # every update (i, j) -= (i, k) * (k, j) with (k, j) in the U part of row k
-    # and (i, j) stored, found by row-major key i*n + j; the candidates of a
-    # block of L entries at a time, which bounds the transient arrays
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-    keys = np.append(keys, -1)  # a search past the end reads -1, never a key
+    # and (i, j) stored, found by its key; the candidates of a block of L
+    # entries at a time, which bounds the transient arrays
     cols = indices[pos]
     found = []
     for a in range(0, max(pos.size, 1), _UPDATE_BLOCK):  # one block at least, if empty

@@ -117,12 +117,15 @@ def constant_symbol(value: float) -> SymbolFunction:
     return SymbolFunction(dim=1, coeffs={(0,): float(value)})
 
 
-def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> np.ndarray:
-    """Dense d-level Toeplitz matrix with entries f_{k-l} from the symbol.
+def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> sp.csr_matrix:
+    """Sparse (CSR) d-level Toeplitz matrix with entries f_{k-l} from the symbol.
 
     ``nu`` is the per-level size (an int for one level).  Rows and columns
     are ordered with the first index outermost, so for nu = (2, 3) the matrix
-    consists of a 2x2 Toeplitz arrangement of 3x3 Toeplitz blocks.
+    consists of a 2x2 Toeplitz arrangement of 3x3 Toeplitz blocks.  Each
+    coefficient fills one (block) diagonal, so the matrix stores at most
+    (number of coefficients) x (size) entries; a coefficient that is zero is
+    stored as an explicit zero.
     """
     nu = (int(nu),) if np.isscalar(nu) else tuple(int(m) for m in nu)
     if len(nu) != symbol.dim:
@@ -130,16 +133,21 @@ def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> np.ndarray:
     if any(m < 1 for m in nu):
         raise SpectralError("each level size must be at least 1")
     total = int(np.prod(nu))
-    out = np.zeros((total, total))
     grid = np.indices(nu).reshape(len(nu), total)  # row multi-indices, first outermost
-    rows = np.arange(total)
+    rows, cols, vals = [], [], []
     bounds = np.array(nu)[:, None]
     for k, v in symbol.coeffs.items():
         # f_k sits where column = row - k; offsets past the grid select nothing
-        cols = grid - np.array(k)[:, None]
-        inside = np.all((cols >= 0) & (cols < bounds), axis=0)
-        out[rows[inside], np.ravel_multi_index(cols[:, inside], nu)] = v
-    return out
+        col = grid - np.array(k)[:, None]
+        inside = np.all((col >= 0) & (col < bounds), axis=0)
+        rows.append(np.flatnonzero(inside))
+        cols.append(np.ravel_multi_index(col[:, inside], nu))
+        vals.append(np.full(rows[-1].size, float(v)))
+    # distinct offsets k never share a (row, column) position
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(total, total),
+    )
 
 
 def _check_residuals(A, vals: np.ndarray, vectors, error) -> None:
@@ -151,8 +159,9 @@ def _check_residuals(A, vals: np.ndarray, vectors, error) -> None:
     n = len(vals)
     idx = np.linspace(0, n - 1, min(RESIDUAL_SAMPLES, n)).astype(int)
     V = vectors(idx)
-    # a dense A goes through scipy's BLAS, the library the eigensolve ran on
-    # (A.T with trans_a hands the C-ordered array over without a copy):
+    # A is the caller's matrix, not the copy the eigensolve reduced in place.
+    # A dense A goes through scipy's BLAS, the library the eigensolve ran on
+    # (A.T with trans_a hands a C-ordered array over without a copy):
     # numpy's ``@`` wakes numpy's own BLAS thread pool, whose spinning
     # workers slowed the next eigensolve and the work after it on 2 cores
     AV = A @ V if sp.issparse(A) else la.blas.dgemm(1.0, A.T, V, trans_a=True)
@@ -219,21 +228,24 @@ def _lapack_ok(routine: str, info: int) -> None:
 
 def _tridiagonal_eigh(A: np.ndarray):
     """Spectrum of a dense symmetric matrix (lower triangle) and an
-    eigenvector callback.
+    eigenvector callback; destroys ``A``.
 
-    A = Q T Q^T by one Householder reduction (``dsytrd``); the eigenvalues of
-    T come from ``dsterf``, the pair that ``la.eigh(A, eigvals_only=True,
-    driver="evd")`` runs, so the spectrum is bitwise that call's.
-    ``vectors(idx)`` computes only the requested eigenvectors: bisection for
-    each eigenvalue of T (``dstebz``), inverse iteration for its vector
-    (``dstein``), and Q applied to them (``dormqr``).
+    A = Q T Q^T by one Householder reduction (``dsytrd``), done in place: a
+    Fortran-ordered float64 ``A`` is overwritten with T and the reflectors
+    that define Q, which the callback reads (any other array is copied by
+    f2py first).  The eigenvalues of T come from ``dsterf``, the pair that
+    ``la.eigh(A, eigvals_only=True, driver="evd")`` runs, so the spectrum is
+    bitwise that call's.  ``vectors(idx)`` computes only the requested
+    eigenvectors: bisection for each eigenvalue of T (``dstebz``), inverse
+    iteration for its vector (``dstein``), and Q applied to them
+    (``dormqr``).
     """
     n = A.shape[0]
     if n == 1:  # no off-diagonal to reduce (f2py rejects the empty one)
         return A[0].copy(), lambda idx: np.ones((1, len(idx)))
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     _lapack_ok("dsytrd_lwork", info)
-    c, d, e, tau, info = lapack.dsytrd(A, lower=1, lwork=int(lwork))
+    c, d, e, tau, info = lapack.dsytrd(A, lower=1, lwork=int(lwork), overwrite_a=1)
     _lapack_ok("dsytrd", info)
     vals, info = lapack.dsterf(d, e)
     _lapack_ok("dsterf", info)
@@ -262,10 +274,13 @@ def _tridiagonal_eigh(A: np.ndarray):
 def eig_rearranged(M) -> np.ndarray:
     """Nondecreasing spectrum of a symmetric matrix, sparse or dense.
 
-    Dense solves (one tridiagonal reduction, see ``_tridiagonal_eigh``) up
-    to ``DENSE_MAX_N`` rows, above it a fully reorthogonalized Lanczos
-    sweep; a sample of eigenpairs is residual-checked either way.  A 0 x 0
-    input has the empty spectrum.
+    Up to ``DENSE_MAX_N`` rows the matrix is copied once into a
+    Fortran-ordered dense array (a sparse one densified straight into it),
+    which one in-place tridiagonal reduction consumes (see
+    ``_tridiagonal_eigh``): the solve holds at most two n x n arrays of its
+    own, and ``M`` is left as it was.  Above it runs a fully reorthogonalized Lanczos
+    sweep.  A sample of eigenpairs is residual-checked against ``M`` either
+    way.  A 0 x 0 input has the empty spectrum.
     """
     sparse = sp.issparse(M)
     M = M.tocsr() if sparse else np.asarray(M, dtype=float)
@@ -277,9 +292,9 @@ def eig_rearranged(M) -> np.ndarray:
         raise SpectralError("matrix is not symmetric and finite")
     if M.shape[0] > DENSE_MAX_N:
         return lanczos_eigenvalues(M)
-    dense = M.toarray() if sparse else M
+    dense = M.toarray(order="F") if sparse else np.array(M, order="F")
     vals, vectors = _tridiagonal_eigh(dense)
-    _check_residuals(dense, vals, vectors, SpectralError)
+    _check_residuals(M, vals, vectors, SpectralError)
     return vals
 
 

@@ -1,9 +1,11 @@
 """Experiment driver and CLI tests: configs, tables, determinism, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from emilab import cli, harness
 from emilab.cli import main
@@ -24,7 +26,7 @@ from emilab.meshgen import (
     label_model_a,
     label_model_b,
 )
-from emilab.solvers import SolverConfig
+from emilab.solvers import SolverConfig, blockdiag_matrix
 from emilab.spectral import SpectralError, eig_rearranged
 from emilab.system import block_diagonal
 
@@ -225,6 +227,38 @@ def test_spectral_suite_outputs(tmp_path):
     lines = (tmp_path / "spectra_scaled_nh8.csv").read_text().splitlines()
     assert lines[0] == "eigenvalue_quantile,symbol_quantile"
     assert len(lines) > 10
+
+
+def _pencil(model, nh, n_cells):
+    """The pair (A, P) of the suite's ``preconditioned`` check."""
+    case = build_case(model, nh, n_cells, 0.01, 1e-4)
+    return case.unpinned.matrix, blockdiag_matrix(case.operators, 1e-4)
+
+
+@pytest.mark.parametrize("model,nh,n_cells", [("A", 32, 1), ("B", 16, 4)])
+def test_pencil_eigenvalues_bitwise_match_copying_eigh(model, nh, n_cells):
+    """The in-place geneig gives the values of the call that copied both
+    matrices, and leaves the sparse inputs as they were."""
+    A, P = _pencil(model, nh, n_cells)
+    before = [(M.data.tobytes(), M.indices.tobytes(), M.indptr.tobytes()) for M in (A, P)]
+    eigs = harness._pencil_eigenvalues(A, P)
+    expected = la.eigh(A.toarray(), P.toarray(), eigvals_only=True)
+    assert eigs.dtype == expected.dtype and eigs.tobytes() == expected.tobytes()
+    after = [(M.data.tobytes(), M.indices.tobytes(), M.indptr.tobytes()) for M in (A, P)]
+    assert after == before
+
+
+def test_pencil_eigenvalues_memory_a32():
+    """Two n x n arrays (plus the finiteness masks), not the four of the copying call."""
+    A, P = _pencil("A", 32, 1)
+    n = A.shape[0]
+    tracemalloc.start()
+    try:
+        harness._pencil_eigenvalues(A, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * n * n
 
 
 @pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("A", 32, 1), ("B", 16, 4), ("B", 16, 16)])

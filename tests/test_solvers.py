@@ -177,6 +177,19 @@ def test_ilu0_missing_diagonal_rejected():
         ilu0_factor(A)
 
 
+@pytest.mark.parametrize("rows, first", [((3, 5), 3), ((7,), 7), ((0, 7), 0)])
+def test_ilu0_names_first_row_without_diagonal(rows, first):
+    """The middle, the last and the first row of a tridiagonal pattern; the
+    last row's diagonal key would be searched past the end of the keys."""
+    A = tridiag_laplacian(8).tolil()
+    for i in rows:
+        A[i, i] = 0.0
+    A = A.tocsr()
+    A.eliminate_zeros()
+    with pytest.raises(ValueError, match=rf"row {first}$"):
+        ilu0_factor(A)
+
+
 def test_ilu0_stored_zero_pivot_shifted():
     """An exactly zero stored pivot ends the sweep with min |pivot| 0, as the
     reference sweep reports, and the factorization retries with a shift."""
@@ -458,9 +471,9 @@ def test_block_preconditioned_spectrum_clusters_at_one():
 # Loop kernels against their numpy-scalar reference implementations
 
 
-def _ref_ilu0_sweep(A):
-    """Reference IKJ sweep indexing numpy arrays element by element."""
-    indptr, indices, data = A.indptr, A.indices, A.data
+def _ref_diagonal_positions(A):
+    """Position in ``A.data`` of each row's diagonal, found row by row."""
+    indptr, indices = A.indptr, A.indices
     n = A.shape[0]
     diag_pos = np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -469,6 +482,14 @@ def _ref_ilu0_sweep(A):
         if k >= len(row) or row[k] != i:
             raise ValueError(f"matrix lacks a stored diagonal entry in row {i}")
         diag_pos[i] = indptr[i] + k
+    return diag_pos
+
+
+def _ref_ilu0_sweep(A):
+    """Reference IKJ sweep indexing numpy arrays element by element."""
+    indptr, indices, data = A.indptr, A.indices, A.data
+    n = A.shape[0]
+    diag_pos = _ref_diagonal_positions(A)
     min_piv = np.inf
     for i in range(n):
         s, e = indptr[i], indptr[i + 1]
@@ -491,7 +512,7 @@ def _ref_ilu0_sweep(A):
 def _loop_ilu0_sweep(A):
     """Row-by-row IKJ sweep over memoryviews, stopping at an exactly zero pivot."""
     data = A.data
-    diag = memoryview(solvers._diagonal_positions(A))
+    diag = memoryview(_ref_diagonal_positions(A))
     indptr, indices, vals = memoryview(A.indptr), memoryview(A.indices), memoryview(data)
     min_piv = np.inf
     for i in range(A.shape[0]):
@@ -588,8 +609,11 @@ def test_ilu0_sweep_matches_reference(name):
     [("A", 64, 441, 1e-5), ("B", 64, 576, 0.01), ("B", 128, 16, 0.01)],
 )
 def test_ilu0_sweep_matches_loop_at_bench_scale(model, nh, cells, tau):
-    """The level-scheduled sweep is bitwise equal to the row-by-row loop."""
+    """The level-scheduled sweep is bitwise equal to the row-by-row loop, and
+    so are the diagonal positions it plans with."""
     A = _sorted_csr(_emi_case(nh, cells, tau=tau, model=model)[0].matrix)
+    diag = solvers._ilu0_schedule(A).diag
+    assert diag.tobytes() == _ref_diagonal_positions(A).tobytes()
     data, piv = _ilu0_sweep(A.copy())
     ref_data, ref_piv = _loop_ilu0_sweep(A.copy())
     assert data.tobytes() == ref_data.tobytes()
@@ -611,7 +635,7 @@ def test_ilu0_later_zero_pivot_reported():
     assert piv == ref_piv == 0.0
     done = A.indptr[10]  # the loop stops after row 9, the first zero pivot
     assert data[:done].tobytes() == ref_data[:done].tobytes()
-    assert data[solvers._diagonal_positions(A)[9]] == 0.0
+    assert data[_ref_diagonal_positions(A)[9]] == 0.0
 
 
 def test_ilu0_shifted_factor_matches_loop_oracle():

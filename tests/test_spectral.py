@@ -1,5 +1,7 @@
 """Symbol/Toeplitz/distribution tests against closed forms and brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -23,7 +25,7 @@ from emilab.system import block_diagonal, build_scaled, build_system
 
 
 def test_toeplitz_1d_tridiagonal():
-    T = toeplitz_from_symbol(laplacian_1d_symbol(), 4)
+    T = toeplitz_from_symbol(laplacian_1d_symbol(), 4).toarray()
     expected = np.array(
         [
             [2.0, -1.0, 0.0, 0.0],
@@ -44,9 +46,9 @@ def test_toeplitz_1d_closed_form_eigenvalues():
 
 
 def test_toeplitz_two_level_five_point():
-    T = toeplitz_from_symbol(p1_laplacian_symbol(), (3, 3))
+    T = toeplitz_from_symbol(p1_laplacian_symbol(), (3, 3)).toarray()
     I3 = np.eye(3)
-    tri = toeplitz_from_symbol(laplacian_1d_symbol(), 3)
+    tri = toeplitz_from_symbol(laplacian_1d_symbol(), 3).toarray()
     expected = np.kron(tri + I3 * 0, I3) * 0  # placeholder, replaced below
     # independent construction: kron sum of 1D pieces plus remaining diagonal
     one_d = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
@@ -63,7 +65,7 @@ def test_toeplitz_block_layout_matches_display():
         (1, 1): 0.5, (-1, -1): 0.5,
     }
     f = SymbolFunction(dim=2, coeffs=coeffs)
-    T = toeplitz_from_symbol(f, (2, 3))
+    T = toeplitz_from_symbol(f, (2, 3)).toarray()
     assert T.shape == (6, 6)
     F0 = np.array([[4.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 4.0]])
     # F_1 sits below the block diagonal and carries the k1 = +1 coefficients
@@ -117,7 +119,8 @@ TOEPLITZ_ORACLE_CASES = {
 def test_toeplitz_matches_kron_oracle_bitwise(name):
     symbol, nu = TOEPLITZ_ORACLE_CASES[name]
     T = toeplitz_from_symbol(symbol, nu)
-    assert T.tobytes() == _kron_toeplitz(symbol, nu).tobytes()
+    assert T.format == "csr"
+    assert T.toarray().tobytes() == _kron_toeplitz(symbol, nu).tobytes()
 
 
 def test_symbol_rejects_non_hermitian_coefficients():
@@ -178,7 +181,7 @@ def test_eig_rearranged_rejects_nonsymmetric():
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eig_rearranged_rejects_non_finite(sparse, bad):
-    M = toeplitz_from_symbol(laplacian_1d_symbol(), 6)
+    M = toeplitz_from_symbol(laplacian_1d_symbol(), 6).toarray()
     M[2, 2] = bad
     with pytest.raises(SpectralError, match="symmetric and finite"), np.errstate(invalid="ignore"):
         eig_rearranged(sp.csr_matrix(M) if sparse else M)
@@ -229,7 +232,7 @@ def _sampled_columns(n):
 @pytest.mark.parametrize("sparse", [False, True])
 def test_residual_check_fires_on_a_bad_eigenpair(monkeypatch, sparse):
     n = 40
-    T = toeplitz_from_symbol(laplacian_1d_symbol(), n)
+    T = toeplitz_from_symbol(laplacian_1d_symbol(), n).toarray()
     _hook_sampled_vectors(monkeypatch, corrupt=_sampled_columns(n)[3])
     with pytest.raises(SpectralError, match="eigenpair residual"):
         eig_rearranged(sp.csr_matrix(T) if sparse else T)
@@ -278,7 +281,7 @@ def _random_symmetric(n, seed=0):
 
 EIGVALS_ORACLE_INPUTS = {
     "scaled-A16": lambda: build_scaled(_model_a_system(16)[0]).toarray(),
-    "p1-toeplitz-8x8": lambda: toeplitz_from_symbol(p1_laplacian_symbol(), (8, 8)),
+    "p1-toeplitz-8x8": lambda: toeplitz_from_symbol(p1_laplacian_symbol(), (8, 8)).toarray(),
     "offdiag-support-B16-4": _offdiag_support_b16,
     "random-300": lambda: _random_symmetric(300),
     # inside the symmetry tolerance: only the lower triangle is read
@@ -296,17 +299,63 @@ EIGVALS_ORACLE_INPUTS = {
 }
 
 
+def _snapshot(M):
+    if sp.issparse(M):
+        return M.format, M.data.tobytes(), M.indices.tobytes(), M.indptr.tobytes()
+    return M.flags.c_contiguous, M.tobytes()
+
+
+def _assert_evd_bitwise_and_input_kept(M):
+    before = _snapshot(M)
+    eigs = eig_rearranged(M)
+    expected = la.eigh(M.toarray() if sp.issparse(M) else M, eigvals_only=True, driver="evd")
+    assert eigs.dtype == expected.dtype and eigs.tobytes() == expected.tobytes()
+    assert _snapshot(M) == before
+
+
 @pytest.mark.parametrize("name", list(EIGVALS_ORACLE_INPUTS))
 def test_dense_spectrum_bitwise_matches_evd(name):
-    """One dsytrd + dsterf is exactly what the evd driver runs without vectors."""
-    M = EIGVALS_ORACLE_INPUTS[name]()
-    eigs = eig_rearranged(M)
-    expected = la.eigh(M, eigvals_only=True, driver="evd")
-    assert eigs.dtype == expected.dtype and eigs.tobytes() == expected.tobytes()
+    """One dsytrd + dsterf is exactly what the evd driver runs without vectors;
+    the reduction runs in place on a copy, so the input is left as it was."""
+    _assert_evd_bitwise_and_input_kept(EIGVALS_ORACLE_INPUTS[name]())
+
+
+@pytest.mark.parametrize("name", list(EIGVALS_ORACLE_INPUTS))
+def test_sparse_spectrum_bitwise_matches_evd(name):
+    """A CSR input gives bitwise the evd spectrum of its dense form."""
+    _assert_evd_bitwise_and_input_kept(sp.csr_matrix(EIGVALS_ORACLE_INPUTS[name]()))
+
+
+DENSE_PEAK_ARRAYS = 2.25  # traced allocation cap of a dense check, in n x n float64 arrays
+
+
+def _traced_peak(compute) -> int:
+    """Allocation peak in bytes that ``compute()`` reaches, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eig_rearranged_memory_on_sparse_scaled_a32():
+    """The sparse scaled matrix of A/32/1 is densified once and reduced in place."""
+    S = build_scaled(_model_a_system(32)[0])
+    n = S.shape[0]
+    assert _traced_peak(lambda: eig_rearranged(S)) <= DENSE_PEAK_ARRAYS * 8 * n * n
+
+
+def test_szego_memory_at_nh32():
+    """The Szego check builds a sparse Toeplitz matrix; only the eigensolve is dense."""
+    f = p1_laplacian_symbol()
+    n = 32 * 32
+    peak = _traced_peak(lambda: eig_rearranged(toeplitz_from_symbol(f, (32, 32))))
+    assert peak <= DENSE_PEAK_ARRAYS * 8 * n * n
 
 
 def test_lanczos_matches_dense():
-    T = toeplitz_from_symbol(laplacian_1d_symbol(), 40)
+    T = toeplitz_from_symbol(laplacian_1d_symbol(), 40).toarray()
     dense = np.linalg.eigvalsh(T)
     lancz = lanczos_eigenvalues(sp.csr_matrix(T))
     assert np.allclose(lancz, dense, rtol=1e-9, atol=1e-10)
