@@ -6,13 +6,15 @@ takes the single value of the other two (``single_values``) and runs one
 pipeline: build the mesh and partition, assemble operators, pin the
 nullspace, then time one solve per requested solver.  Rows carry the dof
 bookkeeping next to the iteration counts so a table is self-describing;
-failed runs are recorded in-row with -1 iterations and the run continues.
+failed runs are recorded in-row with -1 iterations, their cause goes to
+stderr, and the run continues.
 Reruns of the same spec are byte-identical except for the wall-time column.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -50,7 +52,6 @@ from .spectral import (
 )
 from .system import (
     BlockSystem,
-    block_diagonal,
     build_scaled,
     build_system,
     interface_basis,
@@ -178,7 +179,6 @@ class Case:
     dofmap: DofMap
     operators: OperatorSet
     system: BlockSystem  # pinned
-    unpinned: BlockSystem
 
 
 def _build_geometry(model: str, nh: int, n_cells: int):
@@ -191,9 +191,7 @@ def build_case(model: str, nh: int, n_cells: int, tau: float, eps: float = 1e-4)
     mesh, labeling, dofmap = _build_geometry(model, nh, n_cells)
     config = ProblemConfig(tau=tau, epsilon=eps)
     operators = assemble_operators(mesh, labeling, dofmap, config)
-    unpinned = build_system(operators)
-    pinned = pin_nullspace(unpinned)
-    return Case(dofmap, operators, pinned, unpinned)
+    return Case(dofmap, operators, pin_nullspace(build_system(operators)))
 
 
 def _membrane_mass_dominates(case: Case) -> bool:
@@ -245,8 +243,13 @@ def _result_row(spec, case: Case | None, dofmap: DofMap, nh, n_cells, tau, solve
             report, seconds = solve_case(case, solver, spec.tol, spec.maxiter, spec.eps)
             iterations = report.iterations if report.converged else -1
             relres = report.final_rel_residual
-        except Exception:
+        except Exception as exc:
             iterations, relres, seconds = -1, float("nan"), 0.0
+            print(
+                f"{spec.model}/{nh}/{n_cells}/{tau:g} {solver}: "
+                f"{type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
     return eio.format_result_row(
         spec.model, n_cells, nh, tau, spec.eps, solver,
         iterations, relres, seconds, dofmap.n, dofmap.n0, dofmap.n_gamma,
@@ -329,7 +332,7 @@ def run_spectral_suite(spec: ExperimentSpec) -> dict:
     for nh in spec.nh_list:
         nh = int(nh)
         case = build_case(spec.model, nh, n_cells, tau, spec.eps)
-        system = case.unpinned
+        system = build_system(case.operators)  # the unpinned system
         n = system.n
 
         record(
@@ -338,10 +341,10 @@ def run_spectral_suite(spec: ExperimentSpec) -> dict:
         )
 
         def offdiag_stats():
-            # the rows and columns outside the support of the off-diagonal
-            # part are zero, so each adds an exact zero eigenvalue
-            offdiag = (system.matrix - block_diagonal(system)).tocsr()
-            offdiag.eliminate_zeros()
+            # the off-diagonal part is the coupling operator; the rows and
+            # columns outside its support are zero, so each adds an exact
+            # zero eigenvalue
+            offdiag = case.operators.coupling
             support = np.union1d(np.flatnonzero(np.diff(offdiag.indptr)), offdiag.indices)
             delta = 1e-10 * float(np.abs(system.matrix).sum(axis=1).max())
             off_eigs = eig_rearranged(offdiag[support][:, support])

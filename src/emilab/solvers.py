@@ -148,17 +148,23 @@ def _triangle_factor(T: sp.spmatrix):
 
 @dataclass
 class ILU0Preconditioner:
-    """Zero fill-in incomplete LU; application is two triangular sweeps."""
+    """Zero fill-in incomplete LU; application is two triangular sweeps.
 
-    lower: sp.csr_matrix  # unit lower triangular
-    upper: sp.csr_matrix
+    The SuperLU factors of the two triangles are their only copy: ``lower``
+    and ``upper`` are read back from them as CSR.
+    """
+
+    _lower_lu: object = field(repr=False)
+    _upper_lu: object = field(repr=False)
     shift: float = 0.0  # diagonal shift applied on pivot breakdown
-    _lower_lu: object = field(init=False, repr=False)
-    _upper_lu: object = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._lower_lu = _triangle_factor(self.lower)
-        self._upper_lu = _triangle_factor(self.upper)
+    @property
+    def lower(self) -> sp.csr_matrix:  # unit lower triangular
+        return self._lower_lu.L.tocsr()
+
+    @property
+    def upper(self) -> sp.csr_matrix:
+        return self._upper_lu.U.tocsr()
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._upper_lu.solve(self._lower_lu.solve(r))
@@ -273,17 +279,6 @@ def _ilu0_numeric(schedule: _Ilu0Schedule, vals: np.ndarray) -> float:
     return 0.0 if not piv.all() else float(piv.min(initial=np.inf))
 
 
-def _ilu0_sweep(A: sp.csr_matrix) -> tuple[np.ndarray, float]:
-    """ILU(0) elimination in place on a CSR copy; returns (data, min |pivot|).
-
-    A level-scheduled sweep: its factors are bitwise equal to those of the
-    row-by-row IKJ loop, since every entry receives the same IEEE operations
-    in the same order.  An exactly zero pivot yields min |pivot| 0.0.
-    """
-    min_piv = _ilu0_numeric(_ilu0_schedule(A), A.data)
-    return A.data, min_piv
-
-
 def _row_ranges(A: sp.csr_matrix, vals: np.ndarray, starts, stops) -> sp.csr_matrix:
     """CSR matrix of A's shape with the entries ``[starts[i], stops[i])`` of row i."""
     pos = _segments(starts, stops)
@@ -324,7 +319,9 @@ def ilu0_factor(A) -> ILU0Preconditioner:
             lower = _row_ranges(A, vals, first, diag + 1)
             lower.data[lower.indptr[1:] - 1] = 1.0  # unit diagonal
             upper = _row_ranges(A, vals, diag, last)
-            return ILU0Preconditioner(lower, upper, shift)
+            return ILU0Preconditioner(
+                _triangle_factor(lower), _triangle_factor(upper), shift
+            )
         shift = 1e-8 * scale if shift == 0.0 else shift * 100.0
     raise RuntimeError("ILU(0) pivot breakdown persists after diagonal shifts")
 
@@ -347,7 +344,6 @@ class BlockDiagPreconditioner:
     """
 
     matrix: sp.csr_matrix
-    eps: float
     _lu: object = field(repr=False, default=None)
     _inv_chol: sp.csr_matrix | None = field(repr=False, default=None)
     _inv_chol_t: sp.csr_matrix | None = field(repr=False, default=None)
@@ -431,12 +427,12 @@ def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPrecondition
     split = len(cell_sizes) > 0 and int(cell_sizes.max()) <= DENSE_BLOCK_MAX
     try:
         if not split:
-            return BlockDiagPreconditioner(P, eps, splu(P.tocsc()))
+            return BlockDiagPreconditioner(P, splu(P.tocsc()))
         lu = splu(P[:n0, :n0].tocsc())
         W = _inverse_cholesky_factor(P, block_start)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"block preconditioner factorization failed: {exc}") from exc
-    return BlockDiagPreconditioner(P, eps, lu, W, W.T.tocsr())
+    return BlockDiagPreconditioner(P, lu, W, W.T.tocsr())
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +441,9 @@ def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPrecondition
 
 @dataclass
 class AmgLevel:
+    """A level's matrix and prolongator; only SuperLU factors store its triangles."""
+
     matrix: sp.csr_matrix
-    lower: sp.csr_matrix  # tril(A), for the forward Gauss-Seidel sweep
-    upper: sp.csr_matrix  # triu(A), for the backward sweep
     prolong: sp.csr_matrix  # maps the next-coarser level into this one
     _lower_lu: object = field(init=False, repr=False)
     _upper_lu: object = field(init=False, repr=False)
@@ -455,6 +451,14 @@ class AmgLevel:
     def __post_init__(self):
         self._lower_lu = _triangle_factor(self.lower)
         self._upper_lu = _triangle_factor(self.upper)
+
+    @property
+    def lower(self) -> sp.csr_matrix:  # tril(A), for the forward Gauss-Seidel sweep
+        return sp.tril(self.matrix, format="csr")
+
+    @property
+    def upper(self) -> sp.csr_matrix:  # triu(A), for the backward sweep
+        return sp.triu(self.matrix, format="csr")
 
 
 @dataclass
@@ -553,14 +557,7 @@ def amg_build(A) -> AmgHierarchy:
         P = (P_t - AMG_OMEGA * (D_inv @ (A @ P_t))).tocsr()
         A_c = (P.T @ A @ P).tocsr()
         A_c.sort_indices()
-        levels.append(
-            AmgLevel(
-                matrix=A,
-                lower=sp.tril(A, format="csr"),
-                upper=sp.triu(A, format="csr"),
-                prolong=P,
-            )
-        )
+        levels.append(AmgLevel(matrix=A, prolong=P))
         A = A_c
         sizes.append(A.shape[0])
     coarse_lu = la.lu_factor(A.toarray())

@@ -34,6 +34,7 @@ from emilab.system import (
     block_diagonal,
     build_arrowhead_factors,
     build_scaled,
+    build_system,
     solve_direct,
     solve_smw_eps,
     solve_smw_exact,
@@ -213,7 +214,7 @@ def test_criterion_8_spectral_distribution_suite():
     scaled_dist, off_ok, prec_frac, szego_dist = [], [], [], []
     for nh in sizes:
         case = get_case("A", nh, 1)
-        system = case.unpinned
+        system = build_system(case.operators)  # unpinned
 
         eigs = eig_rearranged(build_scaled(system))
         scaled_dist.append(distribution_distance(eigs, symbol).quantile_distance)

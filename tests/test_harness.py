@@ -26,9 +26,9 @@ from emilab.meshgen import (
     label_model_a,
     label_model_b,
 )
-from emilab.solvers import SolverConfig, blockdiag_matrix
+from emilab.solvers import AmgError, SolverConfig, blockdiag_matrix
 from emilab.spectral import SpectralError, eig_rearranged
-from emilab.system import block_diagonal
+from emilab.system import block_diagonal, build_system
 
 
 def _strip_seconds(rows):
@@ -198,6 +198,24 @@ def test_failed_run_recorded_in_row():
     assert cells[6] == "-1"  # not converged within two iterations
 
 
+def test_failed_solve_reports_its_cause(monkeypatch, capsys):
+    """A solver that raises gives the -1 row, and one stderr line names the cause."""
+
+    def stagnate(matrix):
+        raise AmgError("aggregation stagnated: 289 -> 280 aggregates")
+
+    monkeypatch.setattr(harness, "amg_build", stagnate)
+    spec = ExperimentSpec(model="A", nh_list=(16,), cells_list=(1,), solvers=("amg",))
+    rows = run_table(spec, "refinement")
+    assert len(rows) == 2
+    assert rows[1].split(",")[6:9] == ["-1", "nan", "0.000"]
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "A/16/1/0.01 amg: AmgError: aggregation stagnated: 289 -> 280 aggregates\n"
+    )
+    assert captured.out == ""
+
+
 def test_spectral_suite_distances_decrease():
     """The suite's own reports shrink toward the symbols under refinement."""
     spec = ExperimentSpec(model="A", nh_list=(8, 16), cells_list=(1,))
@@ -232,7 +250,7 @@ def test_spectral_suite_outputs(tmp_path):
 def _pencil(model, nh, n_cells):
     """The pair (A, P) of the suite's ``preconditioned`` check."""
     case = build_case(model, nh, n_cells, 0.01, 1e-4)
-    return case.unpinned.matrix, blockdiag_matrix(case.operators, 1e-4)
+    return build_system(case.operators).matrix, blockdiag_matrix(case.operators, 1e-4)
 
 
 @pytest.mark.parametrize("model,nh,n_cells", [("A", 32, 1), ("B", 16, 4)])
@@ -266,7 +284,8 @@ def test_offdiag_record_matches_full_spectrum(model, nh, n_cells):
     """The support eigensolve reports what the full n x n spectrum gives."""
     spec = ExperimentSpec(model=model, nh_list=(nh,), cells_list=(n_cells,))
     _, record = run_spectral_suite(spec)["offdiag_zero"][0]
-    system = build_case(model, nh, n_cells, spec.tau_list[0], spec.eps).unpinned
+    case = build_case(model, nh, n_cells, spec.tau_list[0], spec.eps)
+    system = build_system(case.operators)
     offdiag = (system.matrix - block_diagonal(system)).tocsr()
     full = eig_rearranged(offdiag)
     n = system.n
@@ -296,7 +315,42 @@ def test_offdiag_record_without_cells_is_zero():
 def test_build_case_pins_system():
     case = build_case("A", 16, 1, 0.01)
     assert case.system.pinned_dof is not None
-    assert case.unpinned.pinned_dof is None
+    assert build_system(case.operators).pinned_dof is None
+
+
+# Bytes that tracemalloc still traces after a call, over the pinned system's
+# CSR bytes, at A/128/441 and tau 1e-5 (the AMG interface basis is on).
+# SuperLU's own allocations are not traced: the caps bound what is kept
+# beside the factors.
+MEMORY_CASE = ("A", 128, 441, 1e-5)
+
+
+def _held_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held
+
+
+def _csr_bytes(m):
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+def test_build_case_memory_a128():
+    """A case keeps the pinned system and the operators, no unpinned twin."""
+    case, held = _held_bytes(lambda: build_case(*MEMORY_CASE))
+    assert held <= 4.8 * _csr_bytes(case.system.matrix)
+
+
+@pytest.mark.parametrize("solver, cap", [("ilu", 0.25), ("amg", 4.0)])
+def test_preconditioner_memory_a128(solver, cap):
+    """The triangle factors are the only copy of the ILU and Gauss-Seidel triangles."""
+    case = build_case(*MEMORY_CASE)
+    _, held = _held_bytes(lambda: harness._build_preconditioner(case, solver, 1e-4))
+    assert held <= cap * _csr_bytes(case.system.matrix)
 
 
 def test_amg_basis_gate():

@@ -19,7 +19,8 @@ from emilab.solvers import (
     DENSE_BLOCK_MAX,
     SolverConfig,
     _aggregate,
-    _ilu0_sweep,
+    _ilu0_numeric,
+    _ilu0_schedule,
     _strength_graph,
     _triangle_factor,
     amg_build,
@@ -196,7 +197,7 @@ def test_ilu0_stored_zero_pivot_shifted():
     A = sp.csr_matrix((np.array([0.0, 1.0, 1.0, 0.0]), [0, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         _, ref_piv = _ref_ilu0_sweep(A.copy())
-    _, piv = _ilu0_sweep(A.copy())
+    piv = _ilu0_numeric(_ilu0_schedule(A), A.data.copy())
     assert piv == ref_piv == 0.0
     prec = ilu0_factor(A)
     assert prec.shift > 0.0
@@ -598,7 +599,8 @@ def _sorted_csr(A):
 @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
 def test_ilu0_sweep_matches_reference(name):
     A = _sorted_csr(ORACLE_MATRICES[name]())
-    data, piv = _ilu0_sweep(A.copy())
+    data = A.data.copy()
+    piv = _ilu0_numeric(_ilu0_schedule(A), data)
     ref_data, ref_piv = _ref_ilu0_sweep(A.copy())
     assert np.array_equal(data, ref_data)
     assert piv == ref_piv
@@ -612,9 +614,10 @@ def test_ilu0_sweep_matches_loop_at_bench_scale(model, nh, cells, tau):
     """The level-scheduled sweep is bitwise equal to the row-by-row loop, and
     so are the diagonal positions it plans with."""
     A = _sorted_csr(_emi_case(nh, cells, tau=tau, model=model)[0].matrix)
-    diag = solvers._ilu0_schedule(A).diag
-    assert diag.tobytes() == _ref_diagonal_positions(A).tobytes()
-    data, piv = _ilu0_sweep(A.copy())
+    schedule = _ilu0_schedule(A)
+    assert schedule.diag.tobytes() == _ref_diagonal_positions(A).tobytes()
+    data = A.data.copy()
+    piv = _ilu0_numeric(schedule, data)
     ref_data, ref_piv = _loop_ilu0_sweep(A.copy())
     assert data.tobytes() == ref_data.tobytes()
     assert piv == ref_piv
@@ -630,7 +633,8 @@ def _later_zero_pivot_matrix():
 
 def test_ilu0_later_zero_pivot_reported():
     A = _later_zero_pivot_matrix()
-    data, piv = _ilu0_sweep(A.copy())
+    data = A.data.copy()
+    piv = _ilu0_numeric(_ilu0_schedule(A), data)
     ref_data, ref_piv = _loop_ilu0_sweep(A.copy())
     assert piv == ref_piv == 0.0
     done = A.indptr[10]  # the loop stops after row 9, the first zero pivot

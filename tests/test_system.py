@@ -149,10 +149,19 @@ def test_pinned_zero_rhs_gives_zero():
     assert np.all(x == 0.0)
 
 
+def _assert_direct_solve_residual(pinned):
+    """The pinned matrix factors, and the direct solve leaves a residual
+    of at most 1e-8 * |rhs|."""
+    x = solve_direct(pinned)
+    residual = np.linalg.norm(pinned.matrix @ x - pinned.rhs)
+    assert residual <= 1e-8 * np.linalg.norm(pinned.rhs)
+
+
 def test_pin_probe_reports_nonsingular():
     system, ops, mesh = _system("A", 8, 1)
-    pinned = pin_nullspace(system, probe=True)
+    pinned = pin_nullspace(system)
     assert pinned.pinned_dof is not None
+    _assert_direct_solve_residual(pinned)
 
 
 @pytest.mark.parametrize("nh,n_cells", [(16, 1), (32, 25)])
@@ -466,8 +475,8 @@ def test_global_system_properties(case):
     # the constant is in the kernel of the unpinned system
     row_norms = np.asarray(abs(A).sum(axis=1)).ravel()
     assert np.all(np.abs(A @ np.ones(system.n)) <= 1e-12 * row_norms)
-    # the pinned system factors, and its probe solve meets the residual check
-    pin_nullspace(system, probe=True)
+    # the pinned system factors, and its direct solve meets the residual check
+    _assert_direct_solve_residual(pin_nullspace(system))
     if model == "A":
         f = build_arrowhead_factors(system)
         assert (f.base + f.outer @ f.inner != A).nnz == 0
