@@ -2,10 +2,10 @@
 
 Every preconditioner is a callable ``z = M(r)`` whose action is linear and
 symmetric, as required for CG.  The block-diagonal preconditioner is
-factored once, by one of two paths: when every cell block is small
-(``DENSE_BLOCK_MAX`` dofs), SuperLU factors the extracellular block and the
-cell blocks are applied through their dense inverse Cholesky factors;
-otherwise one SuperLU factor covers the whole matrix.  The AMG
+factored once: SuperLU factors the extracellular block, and each distinct
+cell block (cells are grouped by bitwise identity) gets one factor, a dense
+inverse Cholesky factor up to ``DENSE_BLOCK_MAX`` dofs and a SuperLU factor
+above, shared by all the cells of its group.  The AMG
 preconditioner applies a single V(1,1) cycle of a smoothed-aggregation
 hierarchy with symmetric Gauss-Seidel smoothing, built once per matrix.
 """
@@ -330,30 +330,50 @@ def ilu0_factor(A) -> ILU0Preconditioner:
 # Exact block-diagonal preconditioner
 
 
-DENSE_BLOCK_MAX = 64  # cell blocks up to this many dofs are factored densely
+DENSE_BLOCK_MAX = 64  # distinct cell blocks up to this many dofs are factored densely
+
+
+@dataclass(frozen=True)
+class _CellGroup:
+    """Cells whose blocks are bitwise equal, and the one factor they share.
+
+    ``factor`` is either the dense ``W = L^{-1}`` of the block ``L L^T`` or a
+    SuperLU factor of the block.
+    """
+
+    dofs: slice | np.ndarray  # the members' dofs, cell after cell
+    size: int  # dofs per cell
+    factor: object = field(repr=False)
+
+    def apply(self, r: np.ndarray, z: np.ndarray) -> None:
+        """Write the block solves of the members' part of ``r`` into ``z``."""
+        R = r[self.dofs].reshape(-1, self.size)  # one cell per row
+        if isinstance(self.factor, np.ndarray):
+            W = self.factor
+            z[self.dofs] = ((R @ W.T) @ W).ravel()
+        else:
+            z[self.dofs] = np.concatenate([self.factor.solve(x) for x in R])
 
 
 @dataclass
 class BlockDiagPreconditioner:
     """Exact solve of tau_i * (A_i + eps * Mtilde_i) per subdomain block.
 
-    Without ``_inv_chol`` the action is ``_lu.solve``, one SuperLU factor of
-    the whole matrix.  With it, ``_lu`` factors the extracellular block only
-    and the cell blocks are applied as ``W^T (W r)``, where
-    ``W = diag(L_i^{-1})`` over the cell dofs and ``P_i = L_i L_i^T``.
+    ``_lu`` is the SuperLU factor of the extracellular block; each of
+    ``_cells`` covers the cells that share one block bit for bit.
     """
 
     matrix: sp.csr_matrix
-    _lu: object = field(repr=False, default=None)
-    _inv_chol: sp.csr_matrix | None = field(repr=False, default=None)
-    _inv_chol_t: sp.csr_matrix | None = field(repr=False, default=None)
+    _lu: object = field(repr=False)
+    _cells: list = field(repr=False)  # _CellGroup entries
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        if self._inv_chol is None:
-            return self._lu.solve(r)
         n0 = self._lu.shape[0]
-        cells = self._inv_chol_t @ (self._inv_chol @ r[n0:])
-        return np.concatenate([self._lu.solve(r[:n0]), cells])
+        z = np.empty(len(r))
+        z[:n0] = self._lu.solve(r[:n0])
+        for group in self._cells:
+            group.apply(r, z)
+        return z
 
 
 def blockdiag_matrix(operators, eps: float) -> sp.csr_matrix:
@@ -373,66 +393,77 @@ def blockdiag_matrix(operators, eps: float) -> sp.csr_matrix:
     return P
 
 
-def _inverse_cholesky_factor(P: sp.csr_matrix, block_start: np.ndarray) -> sp.csr_matrix:
-    """W = diag(L_i^{-1}) over the cell blocks 1.., where P_i = L_i L_i^T.
+def _cell_groups(P: sp.csr_matrix, block_start: np.ndarray) -> list:
+    """The cell blocks 1.. of P, grouped by bitwise identity and factored.
 
-    Blocks of one size are factored by one batched Cholesky and inverted by
-    one batched inverse, of which W keeps the lower triangle.  W's rows and
-    columns count from the first cell dof.
+    Cells of one size and one entry count are compared as rows of their local
+    CSR arrays (row pointers, column offsets, the bits of the values), so
+    equal blocks are found by one ``np.unique`` per (size, count) class.  The
+    distinct blocks of at most ``DENSE_BLOCK_MAX`` dofs of a class get one
+    batched Cholesky and one batched inverse; a larger one gets a SuperLU
+    factor.
     """
-    n0 = int(block_start[1])
-    starts = block_start[1:-1] - n0
-    sizes = np.diff(block_start[1:])
-    m = P.shape[0] - n0
-    # row k of a block holds k + 1 entries, so each block's lower triangle
-    # is one run of W's data in row-major order
-    local = np.arange(m) - np.repeat(starts, sizes)
-    indptr = np.concatenate([[0], np.cumsum(local + 1)])
-    indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    data = np.empty(indptr[-1])
-    cells = P[n0:, n0:].tocoo()
-    block = np.repeat(np.arange(len(sizes)), sizes)[cells.row]
-    for size in np.unique(sizes):
-        of_size = sizes == size
-        members = np.flatnonzero(of_size)
-        slot = np.cumsum(of_size) - 1  # position of each block among its size
-        mine = sizes[block] == size
-        b = block[mine]
-        dense = np.zeros((len(members), size, size))
-        dense[slot[b], cells.row[mine] - starts[b], cells.col[mine] - starts[b]] = cells.data[mine]
-        lower = np.linalg.cholesky(dense)
-        i, j = np.tril_indices(size)
-        at = indptr[starts[members], None] + np.arange(len(i))
-        data[at] = np.linalg.inv(lower)[:, i, j]
-        indices[at] = starts[members, None] + j
-    return sp.csr_matrix((data, indices, indptr), shape=(m, m))
+    starts, stops = block_start[1:-1], block_start[2:]
+    sizes = stops - starts
+    counts = P.indptr[stops] - P.indptr[starts]
+    groups = []
+    for m, nnz in np.unique(np.stack([sizes, counts], axis=1), axis=0).tolist():
+        cells = np.flatnonzero((sizes == m) & (counts == nnz))
+        first = starts[cells, None]
+        indptr = P.indptr[first + np.arange(m + 1)] - P.indptr[first]
+        at = P.indptr[first] + np.arange(nnz)
+        cols = P.indices[at] - first
+        # one opaque byte string per cell, compared whole by the sort
+        keys = np.concatenate([indptr, cols, P.data[at].view(np.int64)], axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+        _, rep, which = np.unique(keys, return_index=True, return_inverse=True)
+        # the members of each distinct block, in cell order
+        order = np.argsort(which, kind="stable")
+        members = np.split(cells[order], np.cumsum(np.bincount(which))[:-1])
+        indptr, cols, data = indptr[rep], cols[rep], P.data[at[rep]]
+        if m <= DENSE_BLOCK_MAX:
+            rows = np.repeat(np.tile(np.arange(m), len(rep)), np.diff(indptr, axis=1).ravel())
+            dense = np.zeros((len(rep), m, m))
+            dense[np.arange(len(rep))[:, None], rows.reshape(cols.shape), cols] = data
+            factors = np.tril(np.linalg.inv(np.linalg.cholesky(dense)))
+        else:
+            factors = [
+                splu(sp.csr_matrix((d, c, p), shape=(m, m)).tocsc())
+                for d, c, p in zip(data, cols, indptr)
+            ]
+        for mine, factor in zip(members, factors):
+            if np.all(np.diff(mine) == 1):  # consecutive cells: a slice, no gather
+                dofs = slice(int(starts[mine[0]]), int(stops[mine[-1]]))
+            else:
+                dofs = _segments(starts[mine], stops[mine])
+            groups.append(_CellGroup(dofs, m, factor))
+    return groups
 
 
 def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPreconditioner:
     """Block-diagonal preconditioner tau_i * (A_i + eps * Mtilde_i), factored once.
 
-    When every cell block has at most ``DENSE_BLOCK_MAX`` dofs, SuperLU
-    factors the extracellular block and the cell blocks get dense inverse
-    Cholesky factors, applied as two sparse products: for many small blocks
-    that beats SuperLU's per-supernode overhead.  The factors are L_i^{-1},
-    not P_i^{-1}: a cell block's condition number is about 5e8, and an
-    explicit P_i^{-1} raised the CG counts by 7-11%.  Otherwise one SuperLU
-    factor covers the whole matrix.
+    SuperLU factors the extracellular block.  The cell blocks are grouped by
+    bitwise identity (in the paper's geometries every cell is a translate of
+    one, so there is one group) and each distinct block is factored once.  A
+    block of at most ``DENSE_BLOCK_MAX`` dofs is applied through its dense
+    inverse Cholesky factor W, to all its cells at once as two matrix
+    products ``(R W^T) W`` over the slab R with one cell per row.  The factor
+    is L_i^{-1}, not P_i^{-1}: a cell block's condition number is about 5e8,
+    and an explicit P_i^{-1} raised the CG counts by 7-11%.  A larger block
+    gets one SuperLU factor, applied cell by cell; its solves are bitwise
+    those of one SuperLU factor of the whole matrix.
     """
     eps = float(operators.config.epsilon if eps is None else eps)
     P = blockdiag_matrix(operators, eps)
     block_start = operators.dofmap.block_start
     n0 = int(block_start[1])
-    cell_sizes = np.diff(block_start[1:])
-    split = len(cell_sizes) > 0 and int(cell_sizes.max()) <= DENSE_BLOCK_MAX
     try:
-        if not split:
-            return BlockDiagPreconditioner(P, splu(P.tocsc()))
         lu = splu(P[:n0, :n0].tocsc())
-        W = _inverse_cholesky_factor(P, block_start)
+        cells = _cell_groups(P, block_start)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"block preconditioner factorization failed: {exc}") from exc
-    return BlockDiagPreconditioner(P, lu, W, W.T.tocsr())
+    return BlockDiagPreconditioner(P, lu, cells)
 
 
 # ---------------------------------------------------------------------------

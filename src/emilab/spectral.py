@@ -12,6 +12,7 @@ supported test functions against the corresponding symbol integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -99,6 +100,16 @@ class SymbolFunction:
     def range_estimate(self) -> tuple[float, float]:
         vals = self.sample(RANGE_POINTS_PER_AXIS)
         return float(vals.min()), float(vals.max())
+
+    @cached_property
+    def _distribution_terms(self) -> tuple:
+        """What ``distribution_distance`` needs of the symbol alone, computed
+        once: the sorted samples, the range estimate, the test battery and
+        its symbol integrals."""
+        lo, hi = self.range_estimate()
+        battery = _test_battery(hi)
+        return (np.sort(self.sample(SAMPLES_PER_AXIS)), lo, hi, battery,
+                _symbol_integral_averages(self, battery))
 
 
 def p1_laplacian_symbol() -> SymbolFunction:
@@ -381,18 +392,16 @@ def distribution_distance(eigs: np.ndarray, symbol: SymbolFunction) -> Distribut
 
     Both sides are reduced to equal-length midpoint quantile vectors; the
     outlier count tallies eigenvalues outside the symbol range widened by
-    OUTLIER_DELTA on both ends.
+    OUTLIER_DELTA on both ends.  The symbol's side is computed on the first
+    call for a symbol and reused after it.
     """
     eigs = np.sort(np.asarray(eigs, dtype=float))
-    sym_vals = np.sort(symbol.sample(SAMPLES_PER_AXIS))
-    lo, hi = symbol.range_estimate()
+    sym_vals, lo, hi, battery, symbol_avgs = symbol._distribution_terms
     m = min(MAX_QUANTILES, len(eigs))
     eig_q = _resample_sorted(eigs, m)
     sym_q = _resample_sorted(sym_vals, m)
     distance = float(np.abs(eig_q - sym_q).mean())
 
-    battery = _test_battery(hi)
-    symbol_avgs = _symbol_integral_averages(symbol, battery)
     gaps = [
         (name, abs(float(func(eigs).mean()) - symbol_avg))
         for (name, func), symbol_avg in zip(battery, symbol_avgs)

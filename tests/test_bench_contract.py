@@ -37,8 +37,8 @@ def test_traced_pass_yields_benchmark_layer_metrics():
         for solver in SOLVERS:
             report, _ = harness.solve_case(case, solver, 1e-9, 20000, 1e-4)
             assert report.converged, solver
-        # A/16/1 has 81-dof cells (one SuperLU factor); B/16/4 has 49-dof
-        # cells, which take the split block-diagonal factorization
+        # A/16/1 has an 81-dof cell (a SuperLU cell factor); B/16/4 has
+        # 49-dof cells, which share one dense inverse Cholesky factor
         report, _ = harness.solve_case(harness.build_case("B", 16, 4, 0.01), "blockdiag",
                                        1e-9, 20000, 1e-4)
         assert report.converged

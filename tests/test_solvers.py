@@ -285,12 +285,20 @@ def test_blockdiag_rejects_bad_eps(eps):
         blockdiag_prec(ops, eps=eps)
 
 
+def _assert_symmetric_positive(prec, n, rng):
+    for _ in range(5):
+        v = rng.standard_normal(n)
+        assert v @ prec(v) > 0.0
+    r1, r2 = rng.standard_normal((2, n))
+    assert r2 @ prec(r1) == pytest.approx(r1 @ prec(r2), rel=1e-10)
+
+
 @pytest.mark.parametrize("model,nh,n_cells", [("A", 32, 25), ("B", 64, 576)])
 def test_blockdiag_split_path_backward_error(model, nh, n_cells):
     """Normwise backward error of the split path, within 10 u of ||P||_1 ||z||_1."""
     system, ops = _emi_case(nh, n_cells, model=model)
     prec = blockdiag_prec(ops, eps=1e-4)
-    assert prec._inv_chol is not None
+    assert all(isinstance(group.factor, np.ndarray) for group in prec._cells)
     r = np.random.default_rng(17).standard_normal(system.n)
     z = prec(r)
     norm_p = float(abs(prec.matrix).sum(axis=0).max())
@@ -303,32 +311,78 @@ def test_blockdiag_split_path_symmetric_positive():
     prec = blockdiag_prec(ops, eps=1e-4)
     n0 = ops.dofmap.n0
     assert prec._lu.shape == (n0, n0)  # the extracellular factor only
-    W = prec._inv_chol
-    # the cell part is W^T W: W lower triangular with a positive diagonal, and
-    # the stored transpose is W's transpose bit for bit
-    assert W.shape == (system.n - n0,) * 2
-    assert sp.triu(W, 1).nnz == 0
-    assert np.all(W.diagonal() > 0)
-    assert (prec._inv_chol_t != W.T).nnz == 0
+    # every cell block is the same, so one W serves all 576 cells: lower
+    # triangular with a positive diagonal, and the inverse Cholesky factor
+    # of any member's block bit for bit
+    [group] = prec._cells
+    W = group.factor
+    assert W.shape == (group.size, group.size)
+    assert not np.triu(W, 1).any()
+    assert np.all(np.diag(W) > 0)
+    for cell in (1, 300, 576):
+        s, e = ops.dofmap.block_range(cell)
+        block = prec.matrix[s:e, s:e].toarray()
+        assert np.array_equal(W, np.linalg.inv(np.linalg.cholesky(block)))
     rng = np.random.default_rng(23)
     r = rng.standard_normal(system.n)
-    z = prec(r)
-    assert np.array_equal(z[n0:], prec._inv_chol_t @ (W @ r[n0:]))
-    for _ in range(5):
-        v = rng.standard_normal(system.n)
-        assert v @ prec(v) > 0.0
-    r1, r2 = rng.standard_normal((2, system.n))
-    assert r2 @ prec(r1) == pytest.approx(r1 @ prec(r2), rel=1e-10)
+    R = r[n0:].reshape(576, group.size)
+    assert np.array_equal(prec(r)[n0:], ((R @ W.T) @ W).ravel())
+    _assert_symmetric_positive(prec, system.n, rng)
 
 
-def test_blockdiag_large_cells_use_one_factor():
-    """Cells above DENSE_BLOCK_MAX dofs keep one SuperLU factor of the whole matrix."""
-    system, ops = _emi_case(32, 1)
-    assert ops.dofmap.block_sizes[1:].max() > DENSE_BLOCK_MAX
+@pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("A", 32, 1), ("B", 32, 4),
+                                              ("B", 128, 16)])
+def test_blockdiag_large_cells_match_whole_matrix_factor(model, nh, n_cells):
+    """Cells above DENSE_BLOCK_MAX dofs share one SuperLU factor, and the
+    action is bitwise that of one SuperLU factor of the whole matrix."""
+    system, ops = _emi_case(nh, n_cells, model=model)
+    assert ops.dofmap.block_sizes[1:].min() > DENSE_BLOCK_MAX
     prec = blockdiag_prec(ops, eps=1e-4)
-    assert prec._inv_chol is None
+    [group] = prec._cells
+    assert not isinstance(group.factor, np.ndarray)
     r = np.random.default_rng(29).standard_normal(system.n)
     assert np.array_equal(prec(r), splu(prec.matrix.tocsc()).solve(r))
+
+
+def _with_cell_rows_changed(ops, cell, change):
+    """A copy of ``ops`` whose stiffness rows of ``cell`` are ``change``d."""
+    s, e = ops.dofmap.block_range(cell)
+    stiffness = ops.stiffness.copy()
+    at = slice(stiffness.indptr[s], stiffness.indptr[e])
+    stiffness.data[at] = change(stiffness.data[at], stiffness.indices[at] - s)
+    return dataclasses.replace(ops, stiffness=stiffness)
+
+
+def _one_ulp_up_on_first_diagonal(data, local_cols):
+    out = data.copy()
+    k = int(np.flatnonzero(local_cols == 0)[0])  # the (0, 0) entry of the block
+    out[k] = np.nextafter(out[k], np.inf)
+    return out
+
+
+@pytest.mark.parametrize(
+    "change", [_one_ulp_up_on_first_diagonal, lambda data, _: 2.0 * data],
+    ids=["one-ulp", "rows-times-2"],
+)
+def test_blockdiag_one_differing_cell_gets_its_own_factor(change):
+    """B/16/4 with cell 2 changed: cells 1, 3 and 4 share a factor, cell 2 has its own."""
+    system, ops = _emi_case(16, 4, model="B")
+    changed = _with_cell_rows_changed(ops, 2, change)
+    prec = blockdiag_prec(changed, eps=1e-4)
+    (s1, e1), (s2, e2) = ops.dofmap.block_range(1), ops.dofmap.block_range(2)
+    assert (prec.matrix[s1:e1, s1:e1] != prec.matrix[s2:e2, s2:e2]).nnz > 0
+    assert len(prec._cells) == 2
+    members = {frozenset(np.arange(system.n)[g.dofs].tolist()) for g in prec._cells}
+    cells = [frozenset(range(*ops.dofmap.block_range(i))) for i in (1, 2, 3, 4)]
+    assert members == {cells[0] | cells[2] | cells[3], cells[1]}
+    # the normwise backward-error bound of the split path still holds
+    rng = np.random.default_rng(31)
+    r = rng.standard_normal(system.n)
+    z = prec(r)
+    norm_p = float(abs(prec.matrix).sum(axis=0).max())
+    residual = np.abs(prec.matrix @ z - r).sum()
+    assert residual <= 10 * np.finfo(float).eps / 2 * norm_p * np.abs(z).sum()
+    _assert_symmetric_positive(prec, system.n, rng)
 
 
 def test_blockdiag_indefinite_cell_block_raises():

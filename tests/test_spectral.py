@@ -503,3 +503,19 @@ def test_weyl_gaps_match_per_function_quadrature(name):
         for label, func in battery
     ]
     assert report.test_function_gaps == expected
+
+
+def test_distribution_distance_reuses_symbol_terms(monkeypatch):
+    """A symbol samples its grids once; a reused symbol reports bitwise what
+    a fresh one does."""
+    calls = []
+    sample = SymbolFunction.sample
+    monkeypatch.setattr(SymbolFunction, "sample", lambda self, m: calls.append(m) or sample(self, m))
+    symbol = p1_laplacian_symbol()
+    spectra = [np.linspace(-0.5, 8.5, 200), np.linspace(0.0, 8.0, 2000)]
+    reused = [distribution_distance(eigs, symbol) for eigs in spectra]
+    assert sorted(calls) == [spectral.SAMPLES_PER_AXIS, spectral.RANGE_POINTS_PER_AXIS]
+    for eigs, report in zip(spectra, reused):
+        fresh = distribution_distance(eigs, p1_laplacian_symbol())
+        assert np.array_equal(report.symbol_quantiles, fresh.symbol_quantiles)
+        assert report.summary() == fresh.summary()
