@@ -187,11 +187,14 @@ def _build_geometry(model: str, nh: int, n_cells: int):
     return mesh, labeling, build_dofmap(mesh, labeling)
 
 
-def build_case(model: str, nh: int, n_cells: int, tau: float, eps: float = 1e-4) -> Case:
+def _build_operators(model: str, nh: int, n_cells: int, tau: float, eps: float) -> OperatorSet:
     mesh, labeling, dofmap = _build_geometry(model, nh, n_cells)
-    config = ProblemConfig(tau=tau, epsilon=eps)
-    operators = assemble_operators(mesh, labeling, dofmap, config)
-    return Case(dofmap, operators, pin_nullspace(build_system(operators)))
+    return assemble_operators(mesh, labeling, dofmap, ProblemConfig(tau=tau, epsilon=eps))
+
+
+def build_case(model: str, nh: int, n_cells: int, tau: float, eps: float = 1e-4) -> Case:
+    operators = _build_operators(model, nh, n_cells, tau, eps)
+    return Case(operators.dofmap, operators, pin_nullspace(build_system(operators)))
 
 
 def _membrane_mass_dominates(case: Case) -> bool:
@@ -331,8 +334,9 @@ def run_spectral_suite(spec: ExperimentSpec) -> dict:
 
     for nh in spec.nh_list:
         nh = int(nh)
-        case = build_case(spec.model, nh, n_cells, tau, spec.eps)
-        system = build_system(case.operators)  # the unpinned system
+        # the suite reads the unpinned system only, so none is pinned
+        operators = _build_operators(spec.model, nh, n_cells, tau, spec.eps)
+        system = build_system(operators)
         n = system.n
 
         record(
@@ -344,18 +348,18 @@ def run_spectral_suite(spec: ExperimentSpec) -> dict:
             # the off-diagonal part is the coupling operator; the rows and
             # columns outside its support are zero, so each adds an exact
             # zero eigenvalue
-            offdiag = case.operators.coupling
+            offdiag = operators.coupling
             support = np.union1d(np.flatnonzero(np.diff(offdiag.indptr)), offdiag.indices)
             delta = 1e-10 * float(np.abs(system.matrix).sum(axis=1).max())
             off_eigs = eig_rearranged(offdiag[support][:, support])
             frac = float(np.count_nonzero(np.abs(off_eigs) > delta)) / n
-            bound = 2.0 * case.dofmap.n_gamma / n
+            bound = 2.0 * operators.dofmap.n_gamma / n
             return {"fraction_above": frac, "bound": bound, "delta": delta, "n": n}
 
         record("offdiag_zero", nh, offdiag_stats)
 
         def preconditioned_report():
-            block_matrix = blockdiag_matrix(case.operators, spec.eps)
+            block_matrix = blockdiag_matrix(operators, spec.eps)
             gen_eigs = _pencil_eigenvalues(system.matrix, block_matrix)
             return distribution_distance(np.sort(gen_eigs), constant_symbol(1.0))
 

@@ -2,10 +2,12 @@
 
 Every preconditioner is a callable ``z = M(r)`` whose action is linear and
 symmetric, as required for CG.  The block-diagonal preconditioner is
-factored once: SuperLU factors the extracellular block, and each distinct
-cell block (cells are grouped by bitwise identity) gets one factor, a dense
-inverse Cholesky factor up to ``DENSE_BLOCK_MAX`` dofs and a SuperLU factor
-above, shared by all the cells of its group.  The AMG
+factored once: the extracellular block gets a banded Cholesky factor in
+reverse Cuthill-McKee order when its half-bandwidth there is at most
+``BAND_MAX``, and a SuperLU factor otherwise; each distinct cell block
+(cells are grouped by bitwise identity) gets one factor, a dense inverse
+Cholesky factor up to ``DENSE_BLOCK_MAX`` dofs and a SuperLU factor above,
+shared by all the cells of its group.  The AMG
 preconditioner applies a single V(1,1) cycle of a smoothed-aggregation
 hierarchy with symmetric Gauss-Seidel smoothing, built once per matrix.
 """
@@ -18,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -331,6 +335,86 @@ def ilu0_factor(A) -> ILU0Preconditioner:
 
 
 DENSE_BLOCK_MAX = 64  # distinct cell blocks up to this many dofs are factored densely
+BAND_MAX = 100  # extracellular half-bandwidths (RCM order) up to this are factored banded
+
+
+@dataclass(frozen=True)
+class _BandedCholesky:
+    """Cholesky factor ``U^T U`` of an SPD matrix A in a symmetric order.
+
+    ``U^T U = A[order][:, order]``.  ``band`` holds U in LAPACK's upper band
+    storage, ``band[kd + i - j, j] = U[i, j]``, in Fortran order, so that
+    ``dpbtrs`` reads it in place.  ``L``, ``U``, ``perm_r`` and ``perm_c``
+    are computed when read and follow SuperLU's convention ``Pr A Pc = L U``
+    with ``L = U^T``; every position of the band is a stored entry.
+    """
+
+    order: np.ndarray
+    band: np.ndarray = field(repr=False)
+
+    @property
+    def shape(self) -> tuple:
+        n = self.band.shape[1]
+        return (n, n)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = lapack.dpbtrs(self.band, b[self.order], overwrite_b=1)
+        if info:
+            raise ValueError(f"dpbtrs rejected argument {-info}")
+        z = np.empty_like(x)
+        z[self.order] = x
+        return z
+
+    @property
+    def perm_r(self) -> np.ndarray:  # row k of A is row perm_r[k] of L U
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(len(self.order), dtype=self.order.dtype)
+        return rank
+
+    @property
+    def perm_c(self) -> np.ndarray:
+        return self.perm_r
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        kd, n = self.band.shape[0] - 1, self.band.shape[1]
+        lag = np.arange(kd, -1, -1)[:, None]  # j - i along each band row
+        inside = (lag <= np.arange(n)).T  # per column, the band rows within the matrix
+        rows = (np.arange(n) - lag).T[inside]
+        indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+        return sp.csc_matrix((self.band.T[inside], rows, indptr), shape=(n, n))
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        return self.U.T.tocsc()
+
+
+def _extracellular_factor(A: sp.csr_matrix):
+    """Factor of the SPD extracellular block A, chosen by its bandwidth.
+
+    A is ordered by reverse Cuthill-McKee.  If its half-bandwidth kd there
+    is at most ``BAND_MAX``, LAPACK's banded Cholesky (``dpbtrf``) factors
+    it; otherwise SuperLU factors A in its own COLAMD order.  A block that is
+    not positive definite raises ``np.linalg.LinAlgError``.
+    """
+    order = reverse_cuthill_mckee(A, symmetric_mode=True)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order), dtype=order.dtype)
+    coo = A.tocoo()
+    i, j = rank[coo.row], rank[coo.col]
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    kd = int((j - i).max(initial=0))
+    if kd > BAND_MAX:
+        return splu(A.tocsc())
+    band = np.zeros((kd + 1, A.shape[0]), order="F")
+    band[kd + i - j, j] = coo.data[upper]
+    band, info = lapack.dpbtrf(band, overwrite_ab=1)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"extracellular block is not positive definite (dpbtrf info {info})"
+        )
+    return _BandedCholesky(order, band)
 
 
 @dataclass(frozen=True)
@@ -359,8 +443,10 @@ class _CellGroup:
 class BlockDiagPreconditioner:
     """Exact solve of tau_i * (A_i + eps * Mtilde_i) per subdomain block.
 
-    ``_lu`` is the SuperLU factor of the extracellular block; each of
-    ``_cells`` covers the cells that share one block bit for bit.
+    ``_lu`` is the factor of the extracellular block, banded Cholesky or
+    SuperLU (see ``_extracellular_factor``); both have ``shape``, ``solve``,
+    ``L``, ``U``, ``perm_r`` and ``perm_c``.  Each of ``_cells`` covers the
+    cells that share one block bit for bit.
     """
 
     matrix: sp.csr_matrix
@@ -443,7 +529,12 @@ def _cell_groups(P: sp.csr_matrix, block_start: np.ndarray) -> list:
 def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPreconditioner:
     """Block-diagonal preconditioner tau_i * (A_i + eps * Mtilde_i), factored once.
 
-    SuperLU factors the extracellular block.  The cell blocks are grouped by
+    The extracellular block is ordered by reverse Cuthill-McKee; if its
+    half-bandwidth there is at most ``BAND_MAX``, LAPACK's banded Cholesky
+    factors it, and SuperLU otherwise.  The bound sits below the measured
+    crossover of the two solves: the banded one was 1.4-3.5x faster up to
+    kd 91, level at kd 127, and 2.7x slower at kd 211, where the band
+    holds 4.5x SuperLU's fill.  The cell blocks are grouped by
     bitwise identity (in the paper's geometries every cell is a translate of
     one, so there is one group) and each distinct block is factored once.  A
     block of at most ``DENSE_BLOCK_MAX`` dofs is applied through its dense
@@ -452,14 +543,14 @@ def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPrecondition
     is L_i^{-1}, not P_i^{-1}: a cell block's condition number is about 5e8,
     and an explicit P_i^{-1} raised the CG counts by 7-11%.  A larger block
     gets one SuperLU factor, applied cell by cell; its solves are bitwise
-    those of one SuperLU factor of the whole matrix.
+    those of one SuperLU factor of the whole matrix, on the cell rows.
     """
     eps = float(operators.config.epsilon if eps is None else eps)
     P = blockdiag_matrix(operators, eps)
     block_start = operators.dofmap.block_start
     n0 = int(block_start[1])
     try:
-        lu = splu(P[:n0, :n0].tocsc())
+        lu = _extracellular_factor(P[:n0, :n0])
         cells = _cell_groups(P, block_start)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(f"block preconditioner factorization failed: {exc}") from exc

@@ -49,6 +49,7 @@ DENSE_MAX_N = 6000  # largest matrix eig_rearranged solves densely
 LANCZOS_SEED = 7  # seed of the deterministic Lanczos start vector
 RESIDUAL_SAMPLES = 10  # eigenpairs residual-checked per spectrum
 RESIDUAL_TOL = 1e-8  # accepted eigenpair residual, relative to |A|
+REFLECTOR_PANEL = 64  # Householder reflectors copied and applied at once
 MAX_QUANTILES = 1024  # longest quantile vector a distribution report compares
 OUTLIER_DELTA = 0.1  # widening of the symbol range before counting outliers
 QUAD_POINTS = 64  # Gauss-Legendre points per axis of the symbol integrals
@@ -237,6 +238,22 @@ def _lapack_ok(routine: str, info: int) -> None:
         raise SpectralError(f"LAPACK {routine} failed with info={info}")
 
 
+def _apply_reflectors(reflectors: np.ndarray, tau: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """H(1) ... H(k) Y for the k Householder reflectors stored below the
+    unit diagonal of the columns of ``reflectors`` (``dormqr``).
+
+    The reflectors are copied once into Fortran order, which dormqr reads in
+    place; the copy is freed on return.  A workspace query lets dormqr apply
+    them in blocks.
+    """
+    reflectors = np.asfortranarray(reflectors)
+    _, work, info = lapack.dormqr("L", "N", reflectors, tau, Y, -1)
+    _lapack_ok("dormqr", info)
+    QY, _, info = lapack.dormqr("L", "N", reflectors, tau, Y, int(work[0]))
+    _lapack_ok("dormqr", info)
+    return QY
+
+
 def _tridiagonal_eigh(A: np.ndarray):
     """Spectrum of a dense symmetric matrix (lower triangle) and an
     eigenvector callback; destroys ``A``.
@@ -249,7 +266,7 @@ def _tridiagonal_eigh(A: np.ndarray):
     bitwise that call's.  ``vectors(idx)`` computes only the requested
     eigenvectors: bisection for each eigenvalue of T (``dstebz``), inverse
     iteration for its vector (``dstein``), and Q applied to them
-    (``dormqr``).
+    (``dormqr``, one panel of ``REFLECTOR_PANEL`` reflectors at a time).
     """
     n = A.shape[0]
     if n == 1:  # no off-diagonal to reduce (f2py rejects the empty one)
@@ -270,13 +287,13 @@ def _tridiagonal_eigh(A: np.ndarray):
             z, info = lapack.dstein(d, e, w[:1], iblock, isplit)
             _lapack_ok("dstein", info)
             Y[:, j] = z[:, 0]
-        # Q = H(1) ... H(n-1) leaves the first coordinate alone; a workspace
-        # query lets dormqr apply the reflectors in blocks
-        reflectors = np.asfortranarray(c[1:, : n - 1])
-        _, work, info = lapack.dormqr("L", "N", reflectors, tau, Y[1:], -1)
-        _lapack_ok("dormqr", info)
-        Y[1:], _, info = lapack.dormqr("L", "N", reflectors, tau, Y[1:], int(work[0]))
-        _lapack_ok("dormqr", info)
+        # Q = H(1) ... H(n-1) leaves the first coordinate alone.  The
+        # reflectors are applied one panel at a time, the last panel first:
+        # reflector s acts on rows s+1.. only, so a panel is an
+        # (n-1-s) x REFLECTOR_PANEL copy, never all of them
+        for s in reversed(range(0, n - 1, REFLECTOR_PANEL)):
+            panel = slice(s, min(s + REFLECTOR_PANEL, n - 1))
+            Y[s + 1 :] = _apply_reflectors(c[s + 1 :, panel], tau[panel], Y[s + 1 :])
         return Y
 
     return vals, vectors

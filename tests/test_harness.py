@@ -247,6 +247,16 @@ def test_spectral_suite_outputs(tmp_path):
     assert len(lines) > 10
 
 
+def test_spectral_suite_builds_no_pinned_system(monkeypatch):
+    """The suite reads the unpinned system only: it neither builds a Case nor pins."""
+    monkeypatch.setattr(harness, "build_case", lambda *a, **k: pytest.fail("a case was built"))
+    monkeypatch.setattr(harness, "pin_nullspace", lambda *a: pytest.fail("a system was pinned"))
+    results = run_spectral_suite(ExperimentSpec(model="B", nh_list=(16,), cells_list=(4,)))
+    reports = [rep for entries in results.values() for _, rep in entries]
+    assert len(reports) == 4
+    assert not any(isinstance(rep, dict) and "error" in rep for rep in reports)
+
+
 def _pencil(model, nh, n_cells):
     """The pair (A, P) of the suite's ``preconditioned`` check."""
     case = build_case(model, nh, n_cells, 0.01, 1e-4)

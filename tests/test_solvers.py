@@ -8,7 +8,8 @@ import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu, spsolve_triangular
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import SuperLU, splu, spsolve_triangular
 
 from emilab import solvers
 from emilab.fem import ProblemConfig, assemble_operators
@@ -16,6 +17,7 @@ from emilab.meshgen import build_dofmap, build_mesh, label_model_a, label_model_
 from emilab.solvers import (
     AmgError,
     AmgPreconditioner,
+    BAND_MAX,
     DENSE_BLOCK_MAX,
     SolverConfig,
     _aggregate,
@@ -293,17 +295,21 @@ def _assert_symmetric_positive(prec, n, rng):
     assert r2 @ prec(r1) == pytest.approx(r1 @ prec(r2), rel=1e-10)
 
 
-@pytest.mark.parametrize("model,nh,n_cells", [("A", 32, 25), ("B", 64, 576)])
+def _assert_backward_stable(prec, r):
+    """Normwise backward error of ``prec(r)``, within 10 u of ||P||_1 ||z||_1."""
+    z = prec(r)
+    norm_p = float(abs(prec.matrix).sum(axis=0).max())
+    residual = np.abs(prec.matrix @ z - r).sum()
+    assert residual <= 10 * np.finfo(float).eps / 2 * norm_p * np.abs(z).sum()
+
+
+@pytest.mark.parametrize("model,nh,n_cells", [("A", 32, 25), ("B", 64, 576), ("A", 64, 441)])
 def test_blockdiag_split_path_backward_error(model, nh, n_cells):
     """Normwise backward error of the split path, within 10 u of ||P||_1 ||z||_1."""
     system, ops = _emi_case(nh, n_cells, model=model)
     prec = blockdiag_prec(ops, eps=1e-4)
     assert all(isinstance(group.factor, np.ndarray) for group in prec._cells)
-    r = np.random.default_rng(17).standard_normal(system.n)
-    z = prec(r)
-    norm_p = float(abs(prec.matrix).sum(axis=0).max())
-    residual = np.abs(prec.matrix @ z - r).sum()
-    assert residual <= 10 * np.finfo(float).eps / 2 * norm_p * np.abs(z).sum()
+    _assert_backward_stable(prec, np.random.default_rng(17).standard_normal(system.n))
 
 
 def test_blockdiag_split_path_symmetric_positive():
@@ -330,18 +336,86 @@ def test_blockdiag_split_path_symmetric_positive():
     _assert_symmetric_positive(prec, system.n, rng)
 
 
+def _rcm_band(A):
+    """Reverse Cuthill-McKee order of A and its upper band storage in that order."""
+    order = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
+    B = A[order][:, order]
+    upper = sp.triu(B).tocoo()
+    kd = int((upper.col - upper.row).max())
+    band = np.zeros((kd + 1, B.shape[0]))
+    for k in range(kd + 1):
+        band[kd - k, k:] = B.diagonal(k)
+    return order, band
+
+
+def _rcm_banded_solve(A, b):
+    order, band = _rcm_band(A)
+    z = np.empty_like(b)
+    z[order] = la.cho_solve_banded((la.cholesky_banded(band), False), b[order])
+    return z
+
+
+@pytest.mark.parametrize("model,nh,n_cells,banded", [("A", 64, 441, True),
+                                                     ("A", 128, 441, False)])
+def test_blockdiag_extracellular_factor_follows_its_bandwidth(model, nh, n_cells, banded):
+    """The extracellular block is factored banded iff its RCM half-bandwidth
+    is at most BAND_MAX (A/64/441: kd 65; A/128/441: kd 127, SuperLU), and
+    either factor keeps the normwise backward-error bound."""
+    system, ops = _emi_case(nh, n_cells, model=model)
+    n0 = ops.dofmap.n0
+    prec = blockdiag_prec(ops, eps=1e-4)
+    _, band = _rcm_band(prec.matrix[:n0, :n0])
+    assert (band.shape[0] - 1 <= BAND_MAX) == banded
+    assert isinstance(prec._lu, SuperLU) != banded
+    assert prec._lu.shape == (n0, n0)
+    _assert_backward_stable(prec, np.random.default_rng(37).standard_normal(system.n))
+
+
+@pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("B", 64, 576)])
+def test_blockdiag_banded_factor_reads_back_like_superlu(model, nh, n_cells):
+    """The banded factor's L, U, perm_r and perm_c satisfy SuperLU's
+    Pr A Pc = L U, with L = U^T, and count every band position."""
+    _, ops = _emi_case(nh, n_cells, model=model)
+    n0 = ops.dofmap.n0
+    prec = blockdiag_prec(ops, eps=1e-4)
+    lu, A = prec._lu, prec.matrix[:n0, :n0]
+    assert not isinstance(lu, SuperLU)
+    kd = lu.band.shape[0] - 1
+    assert lu.U.nnz == lu.L.nnz == (kd + 1) * n0 - kd * (kd + 1) // 2
+    assert (sp.triu(lu.U) != lu.U).nnz == 0 and (lu.L.T != lu.U).nnz == 0
+    ones, at = np.ones(n0), np.arange(n0)
+    Pr = sp.csc_matrix((ones, (lu.perm_r, at)), shape=(n0, n0))
+    Pc = sp.csc_matrix((ones, (at, lu.perm_c)), shape=(n0, n0))
+    scale = abs(A).max()
+    assert abs(Pr @ A @ Pc - lu.L @ lu.U).max() <= 1e-14 * scale
+
+
+def test_blockdiag_indefinite_extracellular_block_raises():
+    _, ops = _emi_case(16, 4, model="B")
+    stiffness = ops.stiffness.copy()
+    rows = np.repeat(np.arange(ops.dofmap.n), np.diff(stiffness.indptr))
+    stiffness.data[rows < ops.dofmap.n0] *= -1.0
+    bad = dataclasses.replace(ops, stiffness=stiffness)
+    with pytest.raises(RuntimeError, match="block preconditioner factorization failed"):
+        blockdiag_prec(bad, eps=1e-4)
+
+
 @pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("A", 32, 1), ("B", 32, 4),
                                               ("B", 128, 16)])
 def test_blockdiag_large_cells_match_whole_matrix_factor(model, nh, n_cells):
-    """Cells above DENSE_BLOCK_MAX dofs share one SuperLU factor, and the
-    action is bitwise that of one SuperLU factor of the whole matrix."""
+    """Cells above DENSE_BLOCK_MAX dofs share one SuperLU factor, and their
+    rows of the action are bitwise those of one SuperLU factor of the whole
+    matrix; the extracellular rows are bitwise scipy's banded Cholesky solve
+    of the block in reverse Cuthill-McKee order."""
     system, ops = _emi_case(nh, n_cells, model=model)
     assert ops.dofmap.block_sizes[1:].min() > DENSE_BLOCK_MAX
     prec = blockdiag_prec(ops, eps=1e-4)
     [group] = prec._cells
     assert not isinstance(group.factor, np.ndarray)
     r = np.random.default_rng(29).standard_normal(system.n)
-    assert np.array_equal(prec(r), splu(prec.matrix.tocsc()).solve(r))
+    z, n0 = prec(r), ops.dofmap.n0
+    assert np.array_equal(z[n0:], splu(prec.matrix.tocsc()).solve(r)[n0:])
+    assert np.array_equal(z[:n0], _rcm_banded_solve(prec.matrix[:n0, :n0], r[:n0]))
 
 
 def _with_cell_rows_changed(ops, cell, change):
@@ -377,11 +451,7 @@ def test_blockdiag_one_differing_cell_gets_its_own_factor(change):
     assert members == {cells[0] | cells[2] | cells[3], cells[1]}
     # the normwise backward-error bound of the split path still holds
     rng = np.random.default_rng(31)
-    r = rng.standard_normal(system.n)
-    z = prec(r)
-    norm_p = float(abs(prec.matrix).sum(axis=0).max())
-    residual = np.abs(prec.matrix @ z - r).sum()
-    assert residual <= 10 * np.finfo(float).eps / 2 * norm_p * np.abs(z).sum()
+    _assert_backward_stable(prec, rng.standard_normal(system.n))
     _assert_symmetric_positive(prec, system.n, rng)
 
 

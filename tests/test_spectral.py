@@ -346,6 +346,27 @@ def test_eig_rearranged_memory_on_sparse_scaled_a32():
     assert _traced_peak(lambda: eig_rearranged(S)) <= DENSE_PEAK_ARRAYS * 8 * n * n
 
 
+def test_eig_rearranged_holds_one_dense_array_on_scaled_a32():
+    """The reflectors are copied a panel at a time, so the dense copy is the
+    only n x n array; a copy of all of them at once peaked at 2.03 x 8n^2."""
+    S = build_scaled(_model_a_system(32)[0])
+    n = S.shape[0]
+    assert _traced_peak(lambda: eig_rearranged(S)) <= 1.1 * 8 * n * n
+
+
+@pytest.mark.parametrize("n", [2, 40, 65, 66, 200])
+def test_sampled_eigenvectors_have_small_residuals(n):
+    """Eigenvectors mapped back through Q panel by panel, including a last
+    panel narrower than REFLECTOR_PANEL, are orthonormal eigenvectors of A."""
+    A = _random_symmetric(n, seed=n)
+    vals, vectors = spectral._tridiagonal_eigh(np.array(A, order="F"))
+    idx = _sampled_columns(n) if n >= spectral.RESIDUAL_SAMPLES else np.arange(n)
+    V = vectors(idx)
+    scale = np.abs(vals).max()
+    assert np.abs(A @ V - V * vals[idx]).max() <= 1e-12 * scale
+    assert np.abs(V.T @ V - np.eye(len(idx))).max() <= 1e-12
+
+
 def test_szego_memory_at_nh32():
     """The Szego check builds a sparse Toeplitz matrix; only the eigensolve is dense."""
     f = p1_laplacian_symbol()
