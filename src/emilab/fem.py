@@ -17,7 +17,6 @@ integrated with 2-point Gauss per membrane edge (degree-3 exactness).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -215,13 +214,13 @@ def assemble_rhs(
     labeling: SubdomainLabeling,
     dofmap: DofMap,
     config: ProblemConfig,
-    stimulus: Callable[[np.ndarray, np.ndarray], np.ndarray] = default_stimulus,
 ) -> np.ndarray:
     """Membrane source vector over the global dofs.
 
-    The edge density is g(x) = stimulus(x) * (1 - tau); on the interface
-    between subdomains a < b the integral enters f_a with a minus sign and
-    f_b with a plus sign, so matched trace dofs receive opposite values.
+    The edge density is g(x) = default_stimulus(x) * (1 - tau); on the
+    interface between subdomains a < b the integral enters f_a with a minus
+    sign and f_b with a plus sign, so matched trace dofs receive opposite
+    values.
     """
     me = labeling.membrane_edges
     fvec = np.zeros(dofmap.n)
@@ -232,7 +231,7 @@ def assemble_rhs(
     w1 = np.zeros(len(me))
     for t in _GAUSS_T:
         q = p0 + t * (p1 - p0)
-        g = stimulus(q[:, 0], q[:, 1]) * (1.0 - config.tau)
+        g = default_stimulus(q[:, 0], q[:, 1]) * (1.0 - config.tau)
         w0 += 0.5 * h * g * (1.0 - t)
         w1 += 0.5 * h * g * t
     for side, sign in zip(_edge_dofs(labeling, dofmap), (-1.0, 1.0)):
@@ -246,7 +245,6 @@ def assemble_operators(
     labeling: SubdomainLabeling,
     dofmap: DofMap,
     config: ProblemConfig,
-    stimulus: Callable[[np.ndarray, np.ndarray], np.ndarray] = default_stimulus,
 ) -> OperatorSet:
     """Assemble every operator needed by the global system and preconditioners."""
     return OperatorSet(
@@ -254,7 +252,7 @@ def assemble_operators(
         membrane_mass=assemble_membrane_mass(mesh, labeling, dofmap),
         bulk_mass=assemble_bulk_mass(mesh, labeling, dofmap),
         coupling=assemble_coupling(mesh, labeling, dofmap),
-        rhs=assemble_rhs(mesh, labeling, dofmap, config, stimulus),
+        rhs=assemble_rhs(mesh, labeling, dofmap, config),
         dofmap=dofmap,
         config=config,
         model=labeling.model,

@@ -160,7 +160,7 @@ class ILU0Preconditioner:
 
     _lower_lu: object = field(repr=False)
     _upper_lu: object = field(repr=False)
-    shift: float = 0.0  # diagonal shift applied on pivot breakdown
+    shift: float  # diagonal shift applied on pivot breakdown
 
     @property
     def lower(self) -> sp.csr_matrix:  # unit lower triangular

@@ -1,4 +1,5 @@
-"""Symbol machinery: Toeplitz construction, Weyl distribution checks.
+"""Symbol machinery: Toeplitz construction, dense eigensolves, Weyl
+distribution checks.
 
 A symbol here is a real trigonometric polynomial on the d-torus given by its
 finitely many Fourier coefficients; the associated d-level Toeplitz matrix
@@ -22,7 +23,6 @@ from scipy.linalg import lapack
 
 __all__ = [
     "SpectralError",
-    "LanczosError",
     "SymbolFunction",
     "DistributionReport",
     "p1_laplacian_symbol",
@@ -30,7 +30,6 @@ __all__ = [
     "constant_symbol",
     "toeplitz_from_symbol",
     "eig_rearranged",
-    "lanczos_eigenvalues",
     "distribution_distance",
 ]
 
@@ -39,14 +38,8 @@ class SpectralError(ValueError):
     """Raised for invalid symbols or non-symmetric inputs."""
 
 
-class LanczosError(RuntimeError):
-    """Raised when the Lanczos sweep fails its residual verification."""
-
-
 RANGE_POINTS_PER_AXIS = 256  # midpoint grid that estimates a symbol's range
 SAMPLES_PER_AXIS = 128  # midpoint grid whose symbol values the quantiles compare
-DENSE_MAX_N = 6000  # largest matrix eig_rearranged solves densely
-LANCZOS_SEED = 7  # seed of the deterministic Lanczos start vector
 RESIDUAL_SAMPLES = 10  # eigenpairs residual-checked per spectrum
 RESIDUAL_TOL = 1e-8  # accepted eigenpair residual, relative to |A|
 REFLECTOR_PANEL = 64  # Householder reflectors copied and applied at once
@@ -162,7 +155,7 @@ def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> sp.csr_matrix:
     )
 
 
-def _check_residuals(A, vals: np.ndarray, vectors, error) -> None:
+def _check_residuals(A, vals: np.ndarray, vectors) -> None:
     """Verify a sample of eigenpairs against ``A``.
 
     ``vectors(idx)`` returns the eigenvectors of ``vals[idx]`` as columns; the
@@ -181,56 +174,15 @@ def _check_residuals(A, vals: np.ndarray, vectors, error) -> None:
     norm_a = np.abs(vals).max() if n else 0.0
     for r in res:
         if r > RESIDUAL_TOL * max(norm_a, 1e-300):
-            raise error(f"eigenpair residual {r:.2e} exceeds {RESIDUAL_TOL:.0e} * |A|")
+            raise SpectralError(f"eigenpair residual {r:.2e} exceeds {RESIDUAL_TOL:.0e} * |A|")
 
 
 def lanczos_eigenvalues(A) -> np.ndarray:
-    """Full spectrum via Lanczos with full reorthogonalization.
+    """Removed: every spectrum comes from ``eig_rearranged``.
 
-    Runs n steps (a complete tridiagonalization) with a deterministic start
-    vector; breakdown restarts the basis from the next coordinate direction.
-    A sample of Ritz pairs is verified against the matrix before returning.
+    The name exists only because ``perfbench/tracing.py`` patches it.
     """
-    n = A.shape[0]
-    rng = np.random.default_rng(LANCZOS_SEED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    V = np.zeros((n, n))
-    alpha = np.zeros(n)
-    beta = np.zeros(max(n - 1, 0))
-    V[:, 0] = v
-    for j in range(n):
-        w = A @ V[:, j]
-        alpha[j] = V[:, j] @ w
-        w -= alpha[j] * V[:, j]
-        if j > 0:
-            w -= beta[j - 1] * V[:, j - 1]
-        # full reorthogonalization keeps the basis numerically orthonormal
-        w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        if j == n - 1:
-            break
-        nw = np.linalg.norm(w)
-        if nw <= 1e-13 * max(abs(alpha[j]), 1.0):
-            # invariant subspace found: restart orthogonal to the basis
-            fresh = None
-            for basis_try in range(n):
-                cand = np.zeros(n)
-                cand[basis_try] = 1.0
-                cand -= V[:, : j + 1] @ (V[:, : j + 1].T @ cand)
-                if np.linalg.norm(cand) > 1e-8:
-                    fresh = cand / np.linalg.norm(cand)
-                    break
-            if fresh is None:
-                raise LanczosError("could not restart after breakdown")
-            V[:, j + 1] = fresh
-            beta[j] = 0.0
-        else:
-            V[:, j + 1] = w / nw
-            beta[j] = nw
-    eigvals, eigvecs = la.eigh_tridiagonal(alpha, beta)
-    _check_residuals(A, eigvals, lambda idx: V @ eigvecs[:, idx], LanczosError)
-    return np.sort(eigvals)
+    raise NotImplementedError("lanczos_eigenvalues is removed; use eig_rearranged")
 
 
 def _lapack_ok(routine: str, info: int) -> None:
@@ -302,13 +254,12 @@ def _tridiagonal_eigh(A: np.ndarray):
 def eig_rearranged(M) -> np.ndarray:
     """Nondecreasing spectrum of a symmetric matrix, sparse or dense.
 
-    Up to ``DENSE_MAX_N`` rows the matrix is copied once into a
-    Fortran-ordered dense array (a sparse one densified straight into it),
-    which one in-place tridiagonal reduction consumes (see
-    ``_tridiagonal_eigh``): the solve holds at most two n x n arrays of its
-    own, and ``M`` is left as it was.  Above it runs a fully reorthogonalized Lanczos
-    sweep.  A sample of eigenpairs is residual-checked against ``M`` either
-    way.  A 0 x 0 input has the empty spectrum.
+    The matrix is copied once into a Fortran-ordered dense array (a sparse
+    one densified straight into it), which one in-place tridiagonal
+    reduction consumes (see ``_tridiagonal_eigh``): the solve holds at most
+    two n x n arrays of its own, and ``M`` is left as it was.  A sample of
+    eigenpairs is residual-checked against ``M``.  A 0 x 0 input has the
+    empty spectrum; one too large for memory fails when it is densified.
     """
     sparse = sp.issparse(M)
     M = M.tocsr() if sparse else np.asarray(M, dtype=float)
@@ -318,11 +269,9 @@ def eig_rearranged(M) -> np.ndarray:
     # LAPACK would carry it into the spectrum and past the residual check
     if not abs(M - M.T).max() <= 1e-10 * max(abs(M).max(), 1.0):
         raise SpectralError("matrix is not symmetric and finite")
-    if M.shape[0] > DENSE_MAX_N:
-        return lanczos_eigenvalues(M)
     dense = M.toarray(order="F") if sparse else np.array(M, order="F")
     vals, vectors = _tridiagonal_eigh(dense)
-    _check_residuals(M, vals, vectors, SpectralError)
+    _check_residuals(M, vals, vectors)
     return vals
 
 

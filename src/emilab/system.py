@@ -130,18 +130,21 @@ def pin_nullspace(system: BlockSystem) -> BlockSystem:
     # smallest vertex id is the dof nearest (0,0)
     pinned = int(np.argmin(system.dofmap.block(system.dofmap.vertex, 0)))
 
-    coo = system.matrix.tocoo()
-    keep = (coo.row != pinned) & (coo.col != pinned)
-    matrix = sp.coo_matrix(
-        (
-            np.concatenate([coo.data[keep], [1.0]]),
-            (
-                np.concatenate([coo.row[keep], [pinned]]),
-                np.concatenate([coo.col[keep], [pinned]]),
-            ),
-        ),
-        shape=system.matrix.shape,
-    ).tocsr()
+    # one compacting copy drops the pinned row and column (any other stored
+    # zero stays); the row's one entry, the unit diagonal, goes in after
+    # every kept entry of the rows above it
+    a = system.matrix
+    start, stop = a.indptr[pinned], a.indptr[pinned + 1]
+    keep = a.indices != pinned
+    keep[start:stop] = False
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    at = kept[start]
+    indptr = kept[a.indptr]
+    indptr[pinned + 1 :] += 1
+    matrix = sp.csr_matrix(
+        (np.insert(a.data[keep], at, 1.0), np.insert(a.indices[keep], at, pinned), indptr),
+        shape=a.shape,
+    )
     matrix.sort_indices()
     rhs = system.rhs.copy()
     rhs[pinned] = 0.0

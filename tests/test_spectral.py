@@ -16,7 +16,6 @@ from emilab.spectral import (
     constant_symbol,
     distribution_distance,
     eig_rearranged,
-    lanczos_eigenvalues,
     laplacian_1d_symbol,
     p1_laplacian_symbol,
     toeplitz_from_symbol,
@@ -375,26 +374,18 @@ def test_szego_memory_at_nh32():
     assert peak <= DENSE_PEAK_ARRAYS * 8 * n * n
 
 
-def test_lanczos_matches_dense():
-    T = toeplitz_from_symbol(laplacian_1d_symbol(), 40).toarray()
-    dense = np.linalg.eigvalsh(T)
-    lancz = lanczos_eigenvalues(sp.csr_matrix(T))
-    assert np.allclose(lancz, dense, rtol=1e-9, atol=1e-10)
-
-
-def test_lanczos_handles_degenerate_spectrum():
-    # repeated eigenvalues force breakdown restarts
-    M = sp.diags([1.0, 1.0, 1.0, 2.0, 2.0, 3.0]).tocsr()
-    eigs = lanczos_eigenvalues(M)
-    assert np.allclose(eigs, [1.0, 1.0, 1.0, 2.0, 2.0, 3.0], atol=1e-10)
-
-
-def test_eig_rearranged_lanczos_path(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_MAX_N", 50)
+def test_eig_rearranged_1d_laplacian_closed_form():
     T = sp.csr_matrix(toeplitz_from_symbol(laplacian_1d_symbol(), 80))
     eigs = eig_rearranged(T)
     expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, 81) * np.pi / 81))
     assert np.allclose(eigs, expected, rtol=1e-8, atol=1e-9)
+
+
+def test_lanczos_stub_points_to_eig_rearranged():
+    """The removed Lanczos sweep keeps only its name, which raises."""
+    assert "lanczos_eigenvalues" not in spectral.__all__
+    with pytest.raises(NotImplementedError, match="eig_rearranged"):
+        spectral.lanczos_eigenvalues(sp.identity(3, format="csr"))
 
 
 def _model_a_system(nh, n_cells=1, tau=0.01):

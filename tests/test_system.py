@@ -1,6 +1,7 @@
 """Global system tests: block layout, pinning, Woodbury paths, scaling."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,6 +353,64 @@ def test_build_scaled_matches_coo_reference(model, nh, n_cells, tau):
     unpinned, _, _ = _system(model, nh, n_cells, tau=tau)
     for system in (unpinned, pin_nullspace(unpinned)):
         _assert_same_csr(build_scaled(system), _coo_build_scaled(system))
+
+
+def _coo_pin(system, pinned):
+    """The COO formulation of the pin, kept as the oracle: drop every entry
+    of the pinned row and column, append the unit diagonal, convert back."""
+    coo = system.matrix.tocoo()
+    keep = (coo.row != pinned) & (coo.col != pinned)
+    matrix = sp.coo_matrix(
+        (
+            np.concatenate([coo.data[keep], [1.0]]),
+            (np.concatenate([coo.row[keep], [pinned]]), np.concatenate([coo.col[keep], [pinned]])),
+        ),
+        shape=coo.shape,
+    ).tocsr()
+    matrix.sort_indices()
+    rhs = system.rhs.copy()
+    rhs[pinned] = 0.0
+    return matrix, rhs
+
+
+def _assert_pin_matches_coo(system):
+    pinned = pin_nullspace(system)
+    want, want_rhs = _coo_pin(system, pinned.pinned_dof)
+    for attr in ("indptr", "indices", "data"):
+        got, ref = getattr(pinned.matrix, attr), getattr(want, attr)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), attr
+    assert pinned.matrix.has_sorted_indices == want.has_sorted_indices
+    assert pinned.rhs.dtype == want_rhs.dtype and np.array_equal(pinned.rhs, want_rhs)
+    return pinned
+
+
+@pytest.mark.parametrize(
+    "model,nh,n_cells,tau",
+    [
+        ("A", 64, 441, 1e-2),
+        ("A", 64, 441, 1e-5),
+        ("B", 64, 144, 1e-2),
+        ("B", 64, 576, 1e-2),
+        ("B", 128, 16, 1e-2),
+        ("A", 16, 1, 1e-2),
+        ("B", 16, 4, 1e-2),
+        ("A", 256, 7225, 1e-5),
+    ],
+)
+def test_pin_nullspace_matches_coo_reference(model, nh, n_cells, tau):
+    system, _, _ = _system(model, nh, n_cells, tau=tau)
+    _assert_pin_matches_coo(system)
+
+
+def test_pin_nullspace_keeps_other_stored_zeros():
+    system, _, _ = _system("A", 16, 1)
+    pinned_dof = pin_nullspace(system).pinned_dof
+    matrix = system.matrix.copy()
+    rows = np.repeat(np.arange(system.n), np.diff(matrix.indptr))
+    away = np.flatnonzero((rows != pinned_dof) & (matrix.indices != pinned_dof))[0]
+    matrix.data[away] = 0.0
+    pinned = _assert_pin_matches_coo(replace(system, matrix=matrix))
+    assert np.count_nonzero(pinned.matrix.data == 0.0) == 1
 
 
 def test_interface_basis_invertible_and_constant_preserving():
