@@ -66,7 +66,7 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_assemble(args) -> int:
     spec = _spec_from_args(args)
-    case = build_case(spec.model, *single_values(spec, "nh", "cells", "tau"), spec.eps)
+    case = build_case(spec.model, *single_values(spec, "nh", "cells", "tau"))
     A = case.system.matrix
     asym = abs(A - A.T).max() if A.nnz else 0.0
     print(f"assembled n={A.shape[0]} nnz={A.nnz} |A - A^T|_max = {asym:.3e} (pinned)")
@@ -85,8 +85,6 @@ def _cmd_solve(args) -> int:
     if args.import_rhs and not args.import_mm:
         raise ConfigError("--import-rhs is the right-hand side of an --import-mm system")
     if args.import_mm:
-        if args.export_mm:
-            raise ConfigError("--export-mm writes an assembled system, not an imported one")
         if solver != "cg":
             raise ConfigError(f"imported systems are solved with plain cg, not {solver}")
         A = eio.read_matrix_market(args.import_mm)
@@ -106,9 +104,6 @@ def _cmd_solve(args) -> int:
         report, seconds = solve_case(case, solver, spec.tol, spec.maxiter, spec.eps)
         dof_info = (case.dofmap.n, case.dofmap.n0, case.dofmap.n_gamma)
         problem = (spec.model, n_cells, nh, tau, spec.eps)
-        if args.export_mm:
-            eio.write_matrix_market(case.system.matrix, args.export_mm)
-            eio.write_vector(str(args.export_mm) + ".rhs.txt", case.system.rhs)
     status = "converged" if report.converged else "FAILED"
     print(
         f"{solver}: {report.iterations} iterations, "
@@ -171,13 +166,12 @@ def main(argv=None) -> int:
     p_mesh.add_argument("--out", help="write a plain-text node/element file")
 
     p_asm = sub.add_parser("assemble", help="assemble the pinned global system")
-    _add_parameters(p_asm, "model", "nh", "cells", "tau", "eps")
+    _add_parameters(p_asm, "model", "nh", "cells", "tau")
     p_asm.add_argument("--export-mm", help="Matrix Market output path")
 
     p_solve = sub.add_parser("solve", help="assemble and solve one system")
     _add_parameters(p_solve, "model", "nh", "cells", "tau", "eps", "tol", "maxiter", "solvers")
     p_solve.add_argument("--csv", help="append the result row to this path")
-    p_solve.add_argument("--export-mm", help="Matrix Market output path")
     p_solve.add_argument("--import-mm", help="solve an imported Matrix Market system")
     p_solve.add_argument("--import-rhs", help="plain vector file for the imported system")
 

@@ -563,23 +563,21 @@ def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPrecondition
 
 @dataclass
 class AmgLevel:
-    """A level's matrix and prolongator; only SuperLU factors store its triangles."""
+    """A level's matrix and prolongator, and one SuperLU factor of tril(A) for both sweeps."""
 
     matrix: sp.csr_matrix
     prolong: sp.csr_matrix  # maps the next-coarser level into this one
     _lower_lu: object = field(init=False, repr=False)
-    _upper_lu: object = field(init=False, repr=False)
 
     def __post_init__(self):
         self._lower_lu = _triangle_factor(self.lower)
-        self._upper_lu = _triangle_factor(self.upper)
 
     @property
-    def lower(self) -> sp.csr_matrix:  # tril(A), for the forward Gauss-Seidel sweep
+    def lower(self) -> sp.csr_matrix:  # tril(A)
         return sp.tril(self.matrix, format="csr")
 
     @property
-    def upper(self) -> sp.csr_matrix:  # triu(A), for the backward sweep
+    def upper(self) -> sp.csr_matrix:  # triu(A); the backward sweep applies tril(A)^T
         return sp.triu(self.matrix, format="csr")
 
 
@@ -694,8 +692,8 @@ def _vcycle(h: AmgHierarchy, k: int, r: np.ndarray) -> np.ndarray:
     x = lvl._lower_lu.solve(r)
     resid = r - lvl.matrix @ x
     x = x + lvl.prolong @ _vcycle(h, k + 1, lvl.prolong.T @ resid)
-    # post-smooth: one backward sweep, the adjoint of the pre-smoother
-    return x + lvl._upper_lu.solve(r - lvl.matrix @ x)
+    # post-smooth: one backward sweep with tril(A)^T, the adjoint of the pre-smoother
+    return x + lvl._lower_lu.solve(r - lvl.matrix @ x, trans="T")
 
 
 def amg_vcycle(h: AmgHierarchy, r: np.ndarray) -> np.ndarray:

@@ -523,6 +523,11 @@ _IGNORED_FLAG_RUNS = {
     "mesh-tau": ["mesh", "--nh", "8", "--tau", "0.1"],
     "mesh-nh-list": ["mesh", "--nh", "8,16", "--out", "{out}"],
     "assemble-tol": ["assemble", "--nh", "8", "--tol", "1e-6"],
+    # the assembled system does not depend on eps
+    "assemble-eps": ["assemble", "--model", "B", "--nh", "16", "--cells", "4", "--eps", "0.5",
+                     "--export-mm", "{out}"],
+    # assemble --export-mm is the one export of the pinned system
+    "solve-export": ["solve", "--nh", "8", "--export-mm", "{out}"],
     "spectra-csv": ["spectra", "--nh", "8", "--csv", "{out}"],
     "spectra-solver": ["spectra", "--nh", "8", "--solver", "amg"],
     "spectra-config-and-flag": ["spectra", "--config", "{cfg}", "--nh", "8", "--outdir", "{out}"],

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import SuperLU, splu, spsolve_triangular
 
-from emilab import solvers
+from emilab import harness, solvers
 from emilab.fem import ProblemConfig, assemble_operators
 from emilab.meshgen import build_dofmap, build_mesh, label_model_a, label_model_b
 from emilab.solvers import (
@@ -544,6 +544,29 @@ def test_amg_stagnation_aborts(monkeypatch):
         amg_build(A)
 
 
+def test_amg_level_factors_hold_one_triangle():
+    """The SuperLU factors a level stores are one factor of tril(A_k):
+    nnz(tril A_k) + n_k entries."""
+    case = harness.build_case("A", 64, 441, 1e-5)
+    prec = harness._build_preconditioner(case, "amg", 1e-4)
+    assert prec.basis is not None
+    levels = prec.hierarchy.levels
+    stored = sum(
+        f.L.nnz + f.U.nnz for lvl in levels for f in vars(lvl).values() if isinstance(f, SuperLU)
+    )
+    assert stored == sum(lvl.lower.nnz + lvl.matrix.shape[0] for lvl in levels)
+
+
+@pytest.mark.parametrize("tau, interface", [(1e-2, False), (1e-5, True)])
+def test_amg_preconditioner_symmetric_positive_on_emi(tau, interface):
+    """The preconditioner CG gets is symmetric and positive, in the nodal basis
+    and in the interface basis, where Q^T A Q is symmetric only to rounding."""
+    case = harness.build_case("A", 16, 1, tau)
+    prec = harness._build_preconditioner(case, "amg", 1e-4)
+    assert (prec.basis is not None) == interface
+    _assert_symmetric_positive(prec, case.system.n, np.random.default_rng(29))
+
+
 def test_amg_on_pinned_system():
     system, _ = _emi_case(32, 1)
     h = amg_build(system.matrix)
@@ -824,13 +847,19 @@ def test_triangle_factor_ilu0_triangles():
 
 
 def test_triangle_factor_amg_level_triangles(monkeypatch):
+    """A level's one factor solves with tril(A) (the forward sweep) and, with
+    trans="T", with tril(A)^T (the backward sweep)."""
     monkeypatch.setattr(solvers, "AMG_COARSE_N", 50)
     h = amg_build(dirichlet_laplacian_2d(24))
     assert len(h.levels) >= 2
     rng = np.random.default_rng(43)
     for lvl in h.levels:
-        _assert_triangle_factor_matches(lvl.lower, True, rng)
-        _assert_triangle_factor_matches(lvl.upper, False, rng)
+        lu = lvl._lower_lu
+        assert lu.L.nnz + lu.U.nnz == lvl.lower.nnz + lvl.matrix.shape[0]  # no fill
+        b = rng.standard_normal(lvl.matrix.shape[0])
+        for trans, T, lower in (("N", lvl.lower, True), ("T", lvl.lower.T.tocsr(), False)):
+            ref = spsolve_triangular(T, b, lower=lower)
+            assert np.linalg.norm(lu.solve(b, trans=trans) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @settings(max_examples=60, deadline=None)

@@ -158,7 +158,7 @@ def _assert_direct_solve_residual(pinned):
     assert residual <= 1e-8 * np.linalg.norm(pinned.rhs)
 
 
-def test_pin_probe_reports_nonsingular():
+def test_pinned_system_solves_directly():
     system, ops, mesh = _system("A", 8, 1)
     pinned = pin_nullspace(system)
     assert pinned.pinned_dof is not None
