@@ -56,6 +56,7 @@ from .system import (
     build_system,
     interface_basis,
     pin_nullspace,
+    vertex_channels,
 )
 
 __all__ = [
@@ -225,7 +226,10 @@ def _build_preconditioner(case: Case, solver: str, eps: float):
         if _membrane_mass_dominates(case):
             basis = interface_basis(case.dofmap)
             transformed = (basis.T @ case.system.matrix @ basis).tocsr()
-            return AmgPreconditioner(amg_build(transformed), basis=basis)
+            # the jump channels are mass-dominated and smoothed by relaxation
+            # alone, so the coarse space only spans the average channels
+            _, average = vertex_channels(case.dofmap)
+            return AmgPreconditioner(amg_build(transformed, cover=average), basis=basis)
         return AmgPreconditioner(amg_build(case.system.matrix))
     raise ConfigError(f"unknown solver {solver!r}")
 

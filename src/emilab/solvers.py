@@ -646,33 +646,53 @@ AMG_MAX_LEVELS = 25  # depth cap of the hierarchy
 AMG_COARSE_N = 200  # coarsening stops at this many rows; the last level is solved densely
 
 
-def amg_build(A) -> AmgHierarchy:
+def amg_build(A, cover=None) -> AmgHierarchy:
     """Build a smoothed-aggregation hierarchy down to a small dense coarse grid.
 
     Tentative prolongators are piecewise constant over greedy strength-based
     aggregates, smoothed by one damped-Jacobi step; coarse operators are the
     Galerkin triple products.  Coarsening that shrinks a level by less than
     10 percent aborts with diagnostics.
+
+    ``cover``, a boolean mask of the rows of ``A``, restricts the first
+    level's aggregates to the rows it marks: its strength graph and
+    aggregation see ``A[cover][:, cover]`` only, and every other row gets a
+    zero row in the tentative prolongator (the Jacobi step still reaches
+    it).  The deeper levels aggregate every row.  ``None`` covers all rows.
     """
     A = sp.csr_matrix(A)
     A.sort_indices()
+    if cover is not None:
+        cover = np.asarray(cover)
+        if cover.dtype != bool or cover.shape != (A.shape[0],) or not cover.any():
+            raise ValueError("cover must be a boolean mask of the rows with a True entry")
     levels: list[AmgLevel] = []
     sizes = [A.shape[0]]
-    while A.shape[0] > AMG_COARSE_N and len(levels) < AMG_MAX_LEVELS:
-        S = _strength_graph(A, AMG_THETA)
+    while True:
+        d = A.diagonal()
+        if not np.all(np.isfinite(d) & (d > 0)):
+            raise AmgError(
+                f"level of size {A.shape[0]} has a nonpositive or non-finite diagonal entry"
+            )
+        if A.shape[0] <= AMG_COARSE_N or len(levels) >= AMG_MAX_LEVELS:
+            break
+        n = A.shape[0]
+        if cover is None:
+            rows = np.arange(n)
+            S = _strength_graph(A, AMG_THETA)
+        else:
+            rows = np.flatnonzero(cover)
+            S = _strength_graph(A[rows][:, rows], AMG_THETA)
+            cover = None
         agg, n_agg = _aggregate(S)
-        if n_agg >= 0.9 * A.shape[0]:
+        if n_agg >= 0.9 * n:
             raise AmgError(
                 "aggregation stagnated: "
-                f"{A.shape[0]} -> {n_agg} aggregates (sizes so far {sizes})"
+                f"{n} -> {n_agg} aggregates (sizes so far {sizes})"
             )
-        n = A.shape[0]
         P_t = sp.coo_matrix(
-            (np.ones(n), (np.arange(n), agg)), shape=(n, n_agg)
+            (np.ones(rows.size), (rows, agg)), shape=(n, n_agg)
         ).tocsr()
-        d = A.diagonal()
-        if np.any(d <= 0):
-            raise AmgError("matrix has a nonpositive diagonal entry")
         D_inv = sp.diags(1.0 / d)
         P = (P_t - AMG_OMEGA * (D_inv @ (A @ P_t))).tocsr()
         A_c = (P.T @ A @ P).tocsr()

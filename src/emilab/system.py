@@ -35,6 +35,7 @@ __all__ = [
     "solve_smw_exact",
     "build_scaled",
     "solve_direct",
+    "vertex_channels",
     "interface_basis",
 ]
 
@@ -256,6 +257,19 @@ def solve_smw_exact(factors: ArrowheadFactors, rhs: np.ndarray) -> np.ndarray:
     )
 
 
+def vertex_channels(dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
+    """The dofs grouped by mesh vertex, and the average channel of each group.
+
+    ``order`` sorts the dofs by vertex (stable, so a group keeps dof order);
+    ``first`` marks the first sorted position of each group, which is the
+    column of ``interface_basis`` holding that vertex's average channel.
+    """
+    order = np.argsort(dofmap.vertex, kind="stable")
+    verts_sorted = dofmap.vertex[order]
+    first = np.concatenate([[True], verts_sorted[1:] != verts_sorted[:-1]])
+    return order, first
+
+
 def interface_basis(dofmap: DofMap) -> sp.csr_matrix:
     """Average/difference change of basis over the dofs of each mesh vertex.
 
@@ -268,9 +282,7 @@ def interface_basis(dofmap: DofMap) -> sp.csr_matrix:
     in nodal variables misses once the membrane mass dominates the diagonal.
     """
     n = dofmap.n
-    order = np.argsort(dofmap.vertex, kind="stable")
-    verts_sorted = dofmap.vertex[order]
-    first = np.concatenate([[True], verts_sorted[1:] != verts_sorted[:-1]])
+    order, first = vertex_channels(dofmap)
     # each vertex group owns the columns start..start+k-1 of its sorted
     # positions: the average at start, the differences after it
     pos = np.arange(n)

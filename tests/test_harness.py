@@ -26,7 +26,7 @@ from emilab.meshgen import (
     label_model_a,
     label_model_b,
 )
-from emilab.solvers import AmgError, SolverConfig, blockdiag_matrix
+from emilab.solvers import AmgError, SolverConfig, blockdiag_matrix, cg_solve
 from emilab.spectral import SpectralError, eig_rearranged
 from emilab.system import block_diagonal, build_system
 
@@ -378,6 +378,20 @@ def test_amg_basis_gate():
     report, _ = solve_case(stiff, "amg", 1e-9, 1000, 1e-4)
     assert report.converged
     assert report.iterations <= 40
+
+
+def test_amg_interface_basis_at_paper_scale():
+    """A/256/7225 at tau 1e-5: the first level aggregates only the average
+    channels, so the Galerkin operators stay sparse and the count stays low."""
+    case = build_case("A", 256, 7225, 1e-5)
+    prec = harness._build_preconditioner(case, "amg", 1e-4)
+    assert prec.basis is not None
+    h = prec.hierarchy
+    stored = sum(lvl.matrix.nnz for lvl in h.levels) + h.sizes[-1] ** 2
+    assert stored / h.levels[0].matrix.nnz <= 1.5
+    _, report = cg_solve(case.system.matrix, case.system.rhs, SolverConfig(tol=1e-9), M=prec)
+    assert report.converged
+    assert report.iterations <= 12
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,69 @@ def test_amg_stagnation_aborts(monkeypatch):
         amg_build(A)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_amg_rejects_bad_diagonal_before_aggregating(monkeypatch, bad):
+    """A NaN or negative diagonal entry is an AmgError, raised before aggregation."""
+    A = tridiag_laplacian(400).tolil()
+    A[137, 137] = bad
+    A = A.tocsr()
+
+    def unreachable(S):
+        raise AssertionError("aggregated a matrix with a bad diagonal")
+
+    monkeypatch.setattr(solvers, "_aggregate", unreachable)
+    with pytest.raises(AmgError, match="nonpositive or non-finite diagonal"):
+        amg_build(A)
+    cover = np.arange(400) % 2 == 0
+    with pytest.raises(AmgError, match="nonpositive or non-finite diagonal"):
+        amg_build(A, cover=cover)
+
+
+def _assert_same_hierarchy(got, want):
+    assert got.sizes == want.sizes
+    assert len(got.levels) == len(want.levels)
+    for a, b in zip(got.levels, want.levels):
+        for name in ("matrix", "prolong"):
+            for attr in ("data", "indices", "indptr"):
+                x, y = getattr(getattr(a, name), attr), getattr(getattr(b, name), attr)
+                assert x.dtype == y.dtype and np.array_equal(x, y), (name, attr)
+    for x, y in zip(got.coarse_lu, want.coarse_lu):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("which", ["nodal-A/64/441", "dirichlet-2d"])
+def test_amg_cover_of_every_row_is_the_default(which):
+    """``cover`` marking every row builds the default hierarchy bit for bit."""
+    if which == "dirichlet-2d":
+        A = dirichlet_laplacian_2d(40)
+    else:
+        case = harness.build_case("A", 64, 441, 1e-2)
+        assert harness._build_preconditioner(case, "amg", 1e-4).basis is None
+        A = case.system.matrix
+    default = amg_build(A)
+    assert len(default.levels) >= 1
+    _assert_same_hierarchy(amg_build(A, cover=np.ones(A.shape[0], dtype=bool)), default)
+
+
+def test_amg_cover_restricts_the_first_aggregates():
+    """Uncovered rows get zero rows in the first tentative prolongator only."""
+    A = dirichlet_laplacian_2d(24)
+    cover = np.arange(A.shape[0]) % 3 != 0
+    h = amg_build(A, cover=cover)
+    n = A.shape[0]
+    S = _strength_graph(A[cover][:, cover], solvers.AMG_THETA)
+    agg, n_agg = _aggregate(S)
+    assert h.sizes[1] == n_agg
+    P_t = sp.csr_matrix((np.ones(agg.size), (np.flatnonzero(cover), agg)), shape=(n, n_agg))
+    d_inv = sp.diags(1.0 / A.diagonal())
+    P = P_t - solvers.AMG_OMEGA * (d_inv @ (A @ P_t))
+    assert abs(h.levels[0].prolong - P).max() <= 1e-15
+    with pytest.raises(ValueError, match="boolean mask"):
+        amg_build(A, cover=cover[:-1])
+    with pytest.raises(ValueError, match="boolean mask"):
+        amg_build(A, cover=np.zeros(n, dtype=bool))
+
+
 def test_amg_level_factors_hold_one_triangle():
     """The SuperLU factors a level stores are one factor of tril(A_k):
     nnz(tril A_k) + n_k entries."""

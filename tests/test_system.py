@@ -30,6 +30,7 @@ from emilab.system import (
     solve_direct,
     solve_smw_eps,
     solve_smw_exact,
+    vertex_channels,
 )
 
 
@@ -425,6 +426,28 @@ def test_interface_basis_invertible_and_constant_preserving():
     col_sums = np.asarray(Q.sum(axis=0)).ravel()
     avg_cols[(col_sums == col_counts) & (col_counts >= 1)] = 1.0
     assert np.allclose(Q @ avg_cols, 1.0)
+
+
+@pytest.mark.parametrize("model, nh, n_cells", [("A", 16, 1), ("A", 16, 25), ("B", 16, 4)])
+def test_vertex_channels_mark_one_average_per_vertex(model, nh, n_cells):
+    """One True per vertex that owns dofs; the marked columns of the interface
+    basis are all ones over their vertex group, the others one +1 and one -1."""
+    system, _, _ = _system(model, nh, n_cells)
+    dofmap = system.dofmap
+    order, first = vertex_channels(dofmap)
+    assert first.dtype == bool and first.shape == (system.n,)
+    assert np.array_equal(np.sort(dofmap.vertex[order][first]), np.unique(dofmap.vertex))
+    Q = interface_basis(dofmap).tocsc()
+    Q.sort_indices()
+    for j in range(system.n):
+        rows = Q.indices[Q.indptr[j]:Q.indptr[j + 1]]
+        vals = Q.data[Q.indptr[j]:Q.indptr[j + 1]]
+        if first[j]:
+            group = np.flatnonzero(dofmap.vertex == dofmap.vertex[rows[0]])
+            assert np.array_equal(rows, group) and np.all(vals == 1.0)
+        else:
+            assert np.array_equal(np.sort(vals), [-1.0, 1.0])
+            assert len(set(dofmap.vertex[rows])) == 1
 
 
 def test_interface_basis_exposes_tau_scale():
