@@ -13,7 +13,8 @@ supported test functions against the corresponding symbol integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -64,6 +65,8 @@ class SymbolFunction:
     coeffs: Mapping
 
     def __post_init__(self):
+        # read-only, since the cached factories share their instances
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
         for k, v in self.coeffs.items():
             if len(k) != self.dim:
                 raise SpectralError(f"coefficient index {k} has wrong arity")
@@ -106,6 +109,8 @@ class SymbolFunction:
                 _symbol_integral_averages(self, battery))
 
 
+# one instance per process, so its distribution terms are computed once
+@cache
 def p1_laplacian_symbol() -> SymbolFunction:
     """Symbol of the interior stencil of the structured P1 stiffness matrix."""
     return SymbolFunction(
@@ -114,10 +119,12 @@ def p1_laplacian_symbol() -> SymbolFunction:
     )
 
 
+@cache
 def laplacian_1d_symbol() -> SymbolFunction:
     return SymbolFunction(dim=1, coeffs={(0,): 2.0, (1,): -1.0, (-1,): -1.0})
 
 
+@cache
 def constant_symbol(value: float) -> SymbolFunction:
     return SymbolFunction(dim=1, coeffs={(0,): float(value)})
 
@@ -153,28 +160,6 @@ def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> sp.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(total, total),
     )
-
-
-def _check_residuals(A, vals: np.ndarray, vectors) -> None:
-    """Verify a sample of eigenpairs against ``A``.
-
-    ``vectors(idx)`` returns the eigenvectors of ``vals[idx]`` as columns; the
-    sampled residuals come from one product of ``A`` with those columns.
-    """
-    n = len(vals)
-    idx = np.linspace(0, n - 1, min(RESIDUAL_SAMPLES, n)).astype(int)
-    V = vectors(idx)
-    # A is the caller's matrix, not the copy the eigensolve reduced in place.
-    # A dense A goes through scipy's BLAS, the library the eigensolve ran on
-    # (A.T with trans_a hands a C-ordered array over without a copy):
-    # numpy's ``@`` wakes numpy's own BLAS thread pool, whose spinning
-    # workers slowed the next eigensolve and the work after it on 2 cores
-    AV = A @ V if sp.issparse(A) else la.blas.dgemm(1.0, A.T, V, trans_a=True)
-    res = np.linalg.norm(AV - V * vals[idx], axis=0)
-    norm_a = np.abs(vals).max() if n else 0.0
-    for r in res:
-        if r > RESIDUAL_TOL * max(norm_a, 1e-300):
-            raise SpectralError(f"eigenpair residual {r:.2e} exceeds {RESIDUAL_TOL:.0e} * |A|")
 
 
 def lanczos_eigenvalues(A) -> np.ndarray:
@@ -251,27 +236,52 @@ def _tridiagonal_eigh(A: np.ndarray):
     return vals, vectors
 
 
-def eig_rearranged(M) -> np.ndarray:
-    """Nondecreasing spectrum of a symmetric matrix, sparse or dense.
-
-    The matrix is copied once into a Fortran-ordered dense array (a sparse
-    one densified straight into it), which one in-place tridiagonal
-    reduction consumes (see ``_tridiagonal_eigh``): the solve holds at most
-    two n x n arrays of its own, and ``M`` is left as it was.  A sample of
-    eigenpairs is residual-checked against ``M``.  A 0 x 0 input has the
-    empty spectrum; one too large for memory fails when it is densified.
-    """
-    sparse = sp.issparse(M)
-    M = M.tocsr() if sparse else np.asarray(M, dtype=float)
-    if M.shape[0] == 0:
-        return np.zeros(0)
+def _symmetric_csr(M, name: str) -> sp.csr_matrix:
+    M = sp.csr_matrix(M, dtype=float)
     # a NaN or inf entry makes the asymmetry NaN, which fails the test too:
     # LAPACK would carry it into the spectrum and past the residual check
-    if not abs(M - M.T).max() <= 1e-10 * max(abs(M).max(), 1.0):
-        raise SpectralError("matrix is not symmetric and finite")
-    dense = M.toarray(order="F") if sparse else np.array(M, order="F")
-    vals, vectors = _tridiagonal_eigh(dense)
-    _check_residuals(M, vals, vectors)
+    if M.shape[0] and not abs(M - M.T).max() <= 1e-10 * max(abs(M).max(), 1.0):
+        raise SpectralError(f"{name} is not symmetric and finite")
+    return M
+
+
+def eig_rearranged(M, P=None) -> np.ndarray:
+    """Nondecreasing spectrum of a symmetric ``M``, or of the pencil M x =
+    lambda P x for a symmetric positive definite ``P``.
+
+    Each input is taken as CSR and densified once, in Fortran order; LAPACK
+    reduces the copies in place: P's to its Cholesky factor L (``dpotrf``),
+    M's to L^-1 M L^-T (``dsygst``), then to tridiagonal form (see
+    ``_tridiagonal_eigh``).  Sampled eigenpairs are residual-checked against
+    the inputs, as L^-1 (M v - lambda P v) for a pencil, v = L^-T y.  A 0 x 0
+    input has the empty spectrum; one too large fails when it is densified.
+    """
+    M = _symmetric_csr(M, "matrix")
+    n = M.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    reduced = M.toarray(order="F")
+    if P is not None:
+        P = _symmetric_csr(P, "P")
+        factor, info = lapack.dpotrf(P.toarray(order="F"), lower=1, overwrite_a=1)
+        if info:
+            raise SpectralError(f"P is not positive definite (dpotrf info={info})")
+        reduced, info = lapack.dsygst(reduced, factor, itype=1, lower=1, overwrite_a=1)
+        _lapack_ok("dsygst", info)
+    vals, vectors = _tridiagonal_eigh(reduced)
+    idx = np.linspace(0, n - 1, min(RESIDUAL_SAMPLES, n)).astype(int)
+    V = vectors(idx)
+    if P is None:
+        residuals = M @ V - V * vals[idx]
+    else:
+        V = la.solve_triangular(factor, V, trans="T", lower=True, check_finite=False)
+        residuals = la.solve_triangular(
+            factor, M @ V - (P @ V) * vals[idx], lower=True, check_finite=False
+        )
+    tol = RESIDUAL_TOL * max(np.abs(vals).max(), 1e-300)
+    for r in np.linalg.norm(residuals, axis=0):
+        if r > tol:
+            raise SpectralError(f"eigenpair residual {r:.2e} exceeds {RESIDUAL_TOL:.0e} * |A|")
     return vals
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from emilab import cli, harness
+from emilab import cli, harness, spectral
 from emilab.cli import main
 from emilab.fem import ProblemConfig
 from emilab.harness import (
@@ -257,32 +257,64 @@ def test_spectral_suite_builds_no_pinned_system(monkeypatch):
     assert not any(isinstance(rep, dict) and "error" in rep for rep in reports)
 
 
+def test_spectral_suite_integrates_each_symbol_once(monkeypatch):
+    """The suite's symbols come from cached factories, so their integrals
+    are computed at most once per process, not on every suite call."""
+    calls = []
+    original = spectral._symbol_integral_averages
+    monkeypatch.setattr(
+        spectral, "_symbol_integral_averages", lambda *a: calls.append(a) or original(*a)
+    )
+    spec = ExperimentSpec(model="A", nh_list=(8,), cells_list=(1,))
+    run_spectral_suite(spec)
+    first = len(calls)
+    run_spectral_suite(spec)
+    assert first <= 2 and len(calls) == first
+
+
 def _pencil(model, nh, n_cells):
     """The pair (A, P) of the suite's ``preconditioned`` check."""
     case = build_case(model, nh, n_cells, 0.01, 1e-4)
     return build_system(case.operators).matrix, blockdiag_matrix(case.operators, 1e-4)
 
 
+def _csr_snapshot(*matrices):
+    return [(M.data.tobytes(), M.indices.tobytes(), M.indptr.tobytes()) for M in matrices]
+
+
 @pytest.mark.parametrize("model,nh,n_cells", [("A", 32, 1), ("B", 16, 4)])
-def test_pencil_eigenvalues_bitwise_match_copying_eigh(model, nh, n_cells):
-    """The in-place geneig gives the values of the call that copied both
-    matrices, and leaves the sparse inputs as they were."""
+def test_pencil_spectrum_bitwise_matches_potrf_sygst_evd(model, nh, n_cells):
+    """The pencil's spectrum is bitwise the evd spectrum of L^-1 A L^-T as
+    dpotrf and dsygst form it, and the sparse inputs are left as they were."""
     A, P = _pencil(model, nh, n_cells)
-    before = [(M.data.tobytes(), M.indices.tobytes(), M.indptr.tobytes()) for M in (A, P)]
-    eigs = harness._pencil_eigenvalues(A, P)
-    expected = la.eigh(A.toarray(), P.toarray(), eigvals_only=True)
+    before = _csr_snapshot(A, P)
+    eigs = eig_rearranged(A, P)
+    L, info = la.lapack.dpotrf(P.toarray(), lower=1)
+    assert info == 0
+    C, info = la.lapack.dsygst(A.toarray(), L, itype=1, lower=1)
+    assert info == 0
+    expected = la.eigh(C, lower=True, driver="evd", eigvals_only=True)
     assert eigs.dtype == expected.dtype and eigs.tobytes() == expected.tobytes()
-    after = [(M.data.tobytes(), M.indices.tobytes(), M.indptr.tobytes()) for M in (A, P)]
-    assert after == before
+    assert _csr_snapshot(A, P) == before
 
 
-def test_pencil_eigenvalues_memory_a32():
-    """Two n x n arrays (plus the finiteness masks), not the four of the copying call."""
+@pytest.mark.parametrize("model,nh,n_cells", [("A", 32, 1), ("B", 16, 4)])
+def test_pencil_spectrum_matches_generalized_eigh(model, nh, n_cells):
+    """The reduction agrees with scipy's generalized solver to rounding."""
+    A, P = _pencil(model, nh, n_cells)
+    expected = la.eigh(A.toarray(), P.toarray(), eigvals_only=True)
+    eigs = eig_rearranged(A, P)
+    assert np.abs(eigs - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_eig_rearranged_pencil_memory_a32():
+    """The two dense copies that LAPACK reduces in place, not the four n x n
+    arrays of a copying call."""
     A, P = _pencil("A", 32, 1)
     n = A.shape[0]
     tracemalloc.start()
     try:
-        harness._pencil_eigenvalues(A, P)
+        eig_rearranged(A, P)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -648,8 +680,8 @@ def test_cli_spectra_failed_check_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "scaled nh=8: failed (SpectralError: eigenpair residual" in capsys.readouterr().out
     summary = json.loads((tmp_path / "spectra_summary.json").read_text())
-    assert summary["scaled"][0]["error"].startswith("SpectralError: eigenpair residual")
-    assert "error" not in summary["preconditioned"][0]
+    for kind in ("scaled", "preconditioned"):  # every check goes through eig_rearranged
+        assert summary[kind][0]["error"].startswith("SpectralError: eigenpair residual")
 
 
 _ADMISSIBILITY = [

@@ -237,6 +237,33 @@ def test_residual_check_fires_on_a_bad_eigenpair(monkeypatch, sparse):
         eig_rearranged(sp.csr_matrix(T) if sparse else T)
 
 
+def _laplacian_pencil(n):
+    """The 1D Laplacian against a diagonal SPD matrix."""
+    M = toeplitz_from_symbol(laplacian_1d_symbol(), n)
+    return M, sp.diags(np.linspace(1.0, 3.0, n)).tocsr()
+
+
+def test_pencil_residual_check_fires_on_a_bad_eigenpair(monkeypatch):
+    M, P = _laplacian_pencil(40)
+    _hook_sampled_vectors(monkeypatch, corrupt=_sampled_columns(40)[3])
+    with pytest.raises(SpectralError, match="eigenpair residual"):
+        eig_rearranged(M, P)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda P: P + sp.eye(P.shape[0], k=1), "P is not symmetric"),
+        (lambda P: P - 2.0 * sp.eye(P.shape[0]), "P is not positive definite"),
+    ],
+    ids=["asymmetric", "indefinite"],
+)
+def test_pencil_rejects_a_bad_p(bad, message):
+    M, P = _laplacian_pencil(12)
+    with pytest.raises(SpectralError, match=message):
+        eig_rearranged(M, bad(P))
+
+
 def test_residual_check_samples_fixed_columns(monkeypatch):
     """Exactly the ten evenly spaced eigenvectors are computed and checked."""
     n = 40
@@ -259,6 +286,17 @@ def test_dense_eigensolve_reports_lapack_failure(monkeypatch, routine):
     monkeypatch.setattr(spectral.lapack, routine, failing)
     with pytest.raises(SpectralError, match=f"LAPACK {routine} failed with info=1"):
         eig_rearranged(toeplitz_from_symbol(laplacian_1d_symbol(), 12))
+
+
+def test_pencil_reports_lapack_failure(monkeypatch):
+    original = spectral.lapack.dsygst
+
+    def failing(*args, **kwargs):
+        return (*original(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(spectral.lapack, "dsygst", failing)
+    with pytest.raises(SpectralError, match="LAPACK dsygst failed with info=1"):
+        eig_rearranged(*_laplacian_pencil(12))
 
 
 def _offdiag_support_b16():
@@ -523,11 +561,25 @@ def test_distribution_distance_reuses_symbol_terms(monkeypatch):
     calls = []
     sample = SymbolFunction.sample
     monkeypatch.setattr(SymbolFunction, "sample", lambda self, m: calls.append(m) or sample(self, m))
-    symbol = p1_laplacian_symbol()
+    # the factory is cached; its undecorated body builds instances of our own
+    fresh_symbol = p1_laplacian_symbol.__wrapped__
+    symbol = fresh_symbol()
     spectra = [np.linspace(-0.5, 8.5, 200), np.linspace(0.0, 8.0, 2000)]
     reused = [distribution_distance(eigs, symbol) for eigs in spectra]
     assert sorted(calls) == [spectral.SAMPLES_PER_AXIS, spectral.RANGE_POINTS_PER_AXIS]
     for eigs, report in zip(spectra, reused):
-        fresh = distribution_distance(eigs, p1_laplacian_symbol())
+        fresh = distribution_distance(eigs, fresh_symbol())
         assert np.array_equal(report.symbol_quantiles, fresh.symbol_quantiles)
         assert report.summary() == fresh.summary()
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [p1_laplacian_symbol, laplacian_1d_symbol, lambda: constant_symbol(1.0)],
+    ids=["p1", "laplacian_1d", "constant"],
+)
+def test_symbol_factories_share_one_read_only_instance(factory):
+    symbol = factory()
+    assert factory() is symbol
+    with pytest.raises(TypeError):
+        symbol.coeffs[(0,) * symbol.dim] = 0.0
