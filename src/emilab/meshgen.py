@@ -61,9 +61,6 @@ class StructuredMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def barycenters(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
-
 
 @dataclass(frozen=True)
 class SubdomainLabeling:
@@ -209,36 +206,52 @@ def model_a_scale(n_cells: int) -> int:
     return scale
 
 
-def check_compatible(model: str | None, nh: int, n_cells: int) -> None:
-    """Reject an inadmissible (model, nh, N) triple without building a mesh.
+def _layout(model: str | None, nh: int, n_cells: int) -> tuple[int, int, int, int]:
+    """Cell layout ``(root, origin, pitch, side)`` of N > 0 cells, in mesh squares.
 
-    nh must be a power of two >= 4; that is all N = 0 (or a bare mesh,
-    ``model=None``) needs.  Model A also needs its scale 3*sqrt(N)+1 to
-    divide nh; model B needs a square N, 8 | nh and sqrt(N) | 3*nh/4.
+    The cells form a root x root grid, root = sqrt(N); cell column c covers
+    the squares ``origin + pitch*c + [0, side)`` along x, and likewise along
+    y.  Model A has ``unit = nh/(3*sqrt(N)+1)``, origin ``unit``, pitch
+    ``3*unit`` and side ``2*unit``; model B fills (1/8, 7/8) with origin
+    ``nh/8`` and pitch = side = ``(3*nh/4)/sqrt(N)``.  A layout that is not
+    whole squares is inadmissible.
     """
-    if nh < 4 or not _is_power_of_two(nh):
-        raise GeometryError(f"nh must be a power of two >= 4, got {nh}")
-    if n_cells < 0:
-        raise GeometryError(f"the cell count must not be negative, got {n_cells}")
-    if n_cells == 0:
-        return
     if model == "A":
         scale = model_a_scale(n_cells)
         if nh % scale != 0:
             raise GeometryError(
                 f"model A with N={n_cells} needs scale {scale} | nh, got nh={nh}"
             )
-        return
+        unit = nh // scale
+        return (scale - 1) // 3, unit, 3 * unit, 2 * unit
+    if model != "B":
+        raise GeometryError(f"unknown model {model!r} for N={n_cells}; expected 'A' or 'B'")
     root = int(round(np.sqrt(n_cells)))
     if root * root != n_cells:
         raise GeometryError(f"model B requires a square cell count, got {n_cells}")
     if nh % 8 != 0:
         raise GeometryError(f"model B needs 8 | nh, got nh={nh}")
-    side_cells = 3 * nh // 4  # mesh cells across the intracellular block
+    side_cells = 3 * nh // 4  # mesh squares across the intracellular block
     if side_cells % root != 0:
         raise GeometryError(
             f"model B with N={n_cells} needs sqrt(N) | 3*nh/4 = {side_cells}"
         )
+    return root, nh // 8, side_cells // root, side_cells // root
+
+
+def check_compatible(model: str | None, nh: int, n_cells: int) -> None:
+    """Reject an inadmissible (model, nh, N) triple without building a mesh.
+
+    nh must be a power of two >= 4; that is all N = 0 (or a bare mesh,
+    ``model=None``) needs.  For N > 0 the model's cell layout must consist of
+    whole mesh squares (see ``_layout``).
+    """
+    if nh < 4 or not _is_power_of_two(nh):
+        raise GeometryError(f"nh must be a power of two >= 4, got {nh}")
+    if n_cells < 0:
+        raise GeometryError(f"the cell count must not be negative, got {n_cells}")
+    if n_cells > 0:
+        _layout(model, nh, n_cells)
 
 
 def admissible_cells_model_a(nh: int) -> list[int]:
@@ -252,56 +265,53 @@ def admissible_cells_model_a(nh: int) -> list[int]:
     return counts
 
 
-def _membrane_edges(triangles: np.ndarray, cell_of: np.ndarray) -> np.ndarray:
-    """Edges shared by two triangles with different subdomain labels."""
-    edges = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    edges.sort(axis=1)
-    owner = np.tile(np.arange(len(triangles)), 3)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges, owner = edges[order], owner[order]
-    paired = (edges[:-1] == edges[1:]).all(axis=1)
-    t_a, t_b = owner[:-1][paired], owner[1:][paired]
-    lab_a, lab_b = cell_of[t_a], cell_of[t_b]
-    cross = lab_a != lab_b
-    ev = edges[:-1][paired][cross]
-    lo = np.minimum(lab_a[cross], lab_b[cross])
-    hi = np.maximum(lab_a[cross], lab_b[cross])
-    out = np.column_stack([ev, lo, hi])
-    # canonical order for reproducibility
-    return out[np.lexsort((out[:, 1], out[:, 0]))]
+def _label(model: str, mesh: StructuredMesh, n_cells: int) -> tuple[np.ndarray, SubdomainLabeling]:
+    """The (nh, nh) grid of mesh-square labels and the labeling it gives.
+
+    Square (x, y) is ``grid[y, x]``: ``1 + r*root + c`` inside cell (r, c)
+    of the model's layout, 0 in the extracellular space.  Both triangles of a
+    square take its label.  Membranes are the label jumps across the grid
+    lines, sorted by (v0, v1).
+    """
+    nh = mesh.nh
+    check_compatible(model, nh, n_cells)
+    # N = 0: an empty layout, no square is covered
+    root, origin, pitch, side = _layout(model, nh, n_cells) if n_cells else (0, 0, 1, 0)
+    offset = np.arange(nh) - origin
+    cell = offset // pitch  # cell row or column of each row or column of squares
+    covered = (offset >= 0) & (cell < root) & (offset % pitch < side)
+    grid = np.where(covered[:, None] & covered, 1 + cell[:, None] * root + cell, 0)
+
+    stride = nh + 1
+    # a vertical line between squares (x, y) and (x+1, y): vertices v, v + nh + 1
+    y, x = np.nonzero(grid[:, :-1] != grid[:, 1:])
+    v = y * stride + x + 1
+    vertical = v, v + stride, grid[y, x], grid[y, x + 1]
+    # a horizontal line between squares (x, y) and (x, y+1): vertices v, v + 1
+    y, x = np.nonzero(grid[:-1] != grid[1:])
+    v = (y + 1) * stride + x
+    horizontal = v, v + 1, grid[y, x], grid[y + 1, x]
+    v0, v1, a, b = (np.concatenate(pair) for pair in zip(vertical, horizontal))
+    edges = np.column_stack([v0, v1, np.minimum(a, b), np.maximum(a, b)])
+    cell_of = np.repeat(grid.ravel(), 2)
+    return grid, SubdomainLabeling(model, n_cells, cell_of, edges[np.lexsort((v1, v0))])
 
 
 def label_model_a(mesh: StructuredMesh, n_cells: int) -> SubdomainLabeling:
     """Partition for the nervous-system layout: isolated square cells.
 
-    A triangle belongs to a cell iff its barycenter (x, y) satisfies
-    ``min(x*s mod 3, y*s mod 3) >= 1`` with ``s = 3*sqrt(N)+1``; the cells are
-    the N squares of side 2/s so obtained, numbered row-major from the
-    lower-left.  The scale s must divide nh so that membranes follow mesh
-    lines.
+    With ``unit = nh/(3*sqrt(N)+1)`` mesh squares, the N cells are squares of
+    side ``2*unit`` at pitch ``3*unit``, starting ``unit`` from the lower-left
+    corner, numbered row-major from the lower-left; ``unit`` must be whole.
     """
-    check_compatible("A", mesh.nh, n_cells)
-    if n_cells == 0:
-        cell_of = np.zeros(mesh.n_triangles, dtype=np.int64)
-        return SubdomainLabeling("A", 0, cell_of, np.empty((0, 4), dtype=np.int64))
-    scale = model_a_scale(n_cells)
-    root = int(round(np.sqrt(n_cells)))
-    bary = mesh.barycenters()
-    psi = np.mod(bary * scale, 3.0)
-    inside = psi.min(axis=1) >= 1.0
-    col = np.floor((bary[:, 0] * scale - 1.0) / 3.0).astype(np.int64)
-    row = np.floor((bary[:, 1] * scale - 1.0) / 3.0).astype(np.int64)
-    cell_of = np.where(inside, 1 + row * root + col, 0)
-
-    ids = np.unique(cell_of)
-    if len(ids) != n_cells + 1 or ids[0] != 0:
+    grid, labeling = _label("A", mesh, n_cells)
+    counts = np.bincount(grid.ravel())
+    if len(counts) != n_cells + 1 or not counts.all():
         raise GeometryError("model A labeling did not produce N cells")
-    membrane = _membrane_edges(mesh.triangles, cell_of)
+    membrane = labeling.membrane_edges
     if membrane.size and membrane[:, 2].max() != 0:
         raise GeometryError("model A cells must touch only the extracellular space")
-    return SubdomainLabeling("A", n_cells, cell_of, membrane)
+    return labeling
 
 
 def label_model_b(mesh: StructuredMesh, n_cells: int) -> SubdomainLabeling:
@@ -311,19 +321,7 @@ def label_model_b(mesh: StructuredMesh, n_cells: int) -> SubdomainLabeling:
     are gap junctions between pairs of cells; the scale must align every cell
     edge with mesh lines.
     """
-    check_compatible("B", mesh.nh, n_cells)
-    if n_cells == 0:
-        cell_of = np.zeros(mesh.n_triangles, dtype=np.int64)
-        return SubdomainLabeling("B", 0, cell_of, np.empty((0, 4), dtype=np.int64))
-    root = int(round(np.sqrt(n_cells)))
-    bary = mesh.barycenters()
-    inside = ((bary > 0.125) & (bary < 0.875)).all(axis=1)
-    width = 0.75 / root
-    col = np.floor((bary[:, 0] - 0.125) / width).astype(np.int64)
-    row = np.floor((bary[:, 1] - 0.125) / width).astype(np.int64)
-    cell_of = np.where(inside, 1 + row * root + col, 0)
-    membrane = _membrane_edges(mesh.triangles, cell_of)
-    return SubdomainLabeling("B", n_cells, cell_of, membrane)
+    return _label("B", mesh, n_cells)[1]
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:

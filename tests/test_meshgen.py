@@ -8,6 +8,7 @@ from emilab.meshgen import (
     admissible_cells_model_a,
     build_dofmap,
     build_mesh,
+    check_compatible,
     label_model_a,
     label_model_b,
     model_a_scale,
@@ -207,23 +208,87 @@ def test_duplication_consistency(model, nh, n_cells):
     assert dof_count.sum() == dofmap.n
 
 
-@pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("B", 32, 4)])
-def test_membrane_edges_two_sided(model, nh, n_cells):
-    mesh = build_mesh(nh)
-    labeling = label_model_a(mesh, n_cells) if model == "A" else label_model_b(mesh, n_cells)
+def _admissible_cases(nh_max):
+    """Every admissible (model, nh, N) with nh <= nh_max, N = 0 included.
+
+    Model A takes N = ((4^k - 1)/3)^2 while 4^k <= nh; model B takes a square N
+    with 8 | nh and sqrt(N) | 3*nh/4.
+    """
+    cases = []
+    nh = 4
+    while nh <= nh_max:
+        cases += [("A", nh, n) for n in [0] + admissible_cells_model_a(nh)]
+        cases.append(("B", nh, 0))
+        if nh % 8 == 0:
+            side = 3 * nh // 4
+            cases += [("B", nh, r * r) for r in range(1, side + 1) if side % r == 0]
+        nh *= 2
+    return cases
+
+
+def _paired_membrane_edges(mesh, cell_of):
+    """Reference membranes: pair up all triangle edges, keep the pairs whose labels differ."""
     tri = mesh.triangles
     edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
     edges.sort(axis=1)
     owner = np.tile(np.arange(len(tri)), 3)
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     edges, owner = edges[order], owner[order]
-    same = (edges[:-1] == edges[1:]).all(axis=1)
-    for v0, v1, i, j in labeling.membrane_edges:
-        hit = same & (edges[:-1, 0] == v0) & (edges[:-1, 1] == v1)
-        assert hit.sum() == 1
-        k = np.flatnonzero(hit)[0]
-        labs = sorted((labeling.cell_of[owner[k]], labeling.cell_of[owner[k + 1]]))
-        assert labs == [i, j]
+    paired = (edges[:-1] == edges[1:]).all(axis=1)
+    lab_a, lab_b = cell_of[owner[:-1][paired]], cell_of[owner[1:][paired]]
+    cross = lab_a != lab_b
+    out = np.column_stack(
+        [edges[:-1][paired][cross], np.minimum(lab_a, lab_b)[cross], np.maximum(lab_a, lab_b)[cross]]
+    )
+    return out[np.lexsort((out[:, 1], out[:, 0]))]
+
+
+def _barycenter_cell_of(mesh, model, n_cells):
+    """Reference labels from each triangle's barycenter (x, y).
+
+    Model A: inside a cell iff ``min(x*s mod 3, y*s mod 3) >= 1`` with
+    ``s = 3*sqrt(N)+1``.  Model B: inside iff (x, y) lies in (1/8, 7/8)^2,
+    in cell columns of width 0.75/sqrt(N).  Cells are numbered row-major.
+    """
+    if n_cells == 0:
+        return np.zeros(mesh.n_triangles, dtype=np.int64)
+    root = int(round(np.sqrt(n_cells)))
+    bary = mesh.vertices[mesh.triangles].mean(axis=1)
+    if model == "A":
+        scale = 3 * root + 1
+        inside = np.mod(bary * scale, 3.0).min(axis=1) >= 1.0
+        col, row = np.floor((bary.T * scale - 1.0) / 3.0).astype(np.int64)
+    else:
+        inside = ((bary > 0.125) & (bary < 0.875)).all(axis=1)
+        col, row = np.floor((bary.T - 0.125) / (0.75 / root)).astype(np.int64)
+    return np.where(inside, 1 + row * root + col, 0)
+
+
+@pytest.mark.parametrize("model,nh,n_cells", _admissible_cases(128))
+def test_membrane_edges_two_sided(model, nh, n_cells):
+    """The membranes are exactly the mesh edges between differently labelled triangles."""
+    mesh = build_mesh(nh)
+    labeling = label_model_a(mesh, n_cells) if model == "A" else label_model_b(mesh, n_cells)
+    expected = _paired_membrane_edges(mesh, labeling.cell_of)
+    assert labeling.membrane_edges.dtype == expected.dtype == np.int64
+    assert labeling.membrane_edges.shape == expected.shape
+    assert np.array_equal(labeling.membrane_edges, expected)
+
+
+@pytest.mark.parametrize("model,nh,n_cells", _admissible_cases(128))
+def test_cell_of_matches_barycenter_rules(model, nh, n_cells):
+    mesh = build_mesh(nh)
+    labeling = label_model_a(mesh, n_cells) if model == "A" else label_model_b(mesh, n_cells)
+    expected = _barycenter_cell_of(mesh, model, n_cells)
+    assert labeling.cell_of.dtype == expected.dtype == np.int64
+    assert np.array_equal(labeling.cell_of, expected)
+
+
+@pytest.mark.parametrize("model,nh,n_cells", [("C", 64, 16), (None, 16, 4), ("a", 64, 441)])
+def test_check_compatible_rejects_unknown_model(model, nh, n_cells):
+    with pytest.raises(GeometryError, match="unknown model"):
+        check_compatible(model, nh, n_cells)
+    check_compatible(model, nh, 0)  # no cells: nh alone decides, as for a bare mesh
 
 
 @pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("A", 64, 25), ("B", 64, 16), ("B", 32, 1)])
