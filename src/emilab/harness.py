@@ -183,8 +183,11 @@ class Case:
 
 
 def _build_geometry(model: str, nh: int, n_cells: int):
+    labelers = {"A": label_model_a, "B": label_model_b}
+    if model not in labelers:
+        raise GeometryError(f"unknown model {model!r}; expected 'A' or 'B'")
     mesh = build_mesh(nh)
-    labeling = label_model_a(mesh, n_cells) if model == "A" else label_model_b(mesh, n_cells)
+    labeling = labelers[model](mesh, n_cells)
     return mesh, labeling, build_dofmap(mesh, labeling)
 
 

@@ -9,16 +9,23 @@ reverse Cuthill-McKee order when its half-bandwidth there is at most
 Cholesky factor up to ``DENSE_BLOCK_MAX`` dofs and a SuperLU factor above,
 shared by all the cells of its group.  The AMG
 preconditioner applies a single V(1,1) cycle of a smoothed-aggregation
-hierarchy with symmetric Gauss-Seidel smoothing, built once per matrix.
+hierarchy with symmetric Gauss-Seidel smoothing, built once per matrix, and
+solves its coarsest level with SuperLU.
+
+The solve loop runs on the calling thread: CG reduces through ``_dot``,
+whose chunks stay below OpenBLAS's threading cut-off, and the
+preconditioner applies use sparse products, SuperLU, LAPACK's banded solve
+and small dense products.  Residual histories and iteration counts are
+therefore the same bits under any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -66,6 +73,32 @@ class SolveReport:
     breakdown: bool = False  # stopped at ``iterations`` on nonpositive curvature
 
 
+DOT_CHUNK = 8192  # entries per partial dot product, below OpenBLAS's threading cut-off
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x . y`` as the in-order sum of the dot products of ``DOT_CHUNK``-entry chunks.
+
+    OpenBLAS runs ``ddot`` on the calling thread up to 10,000 entries and
+    splits it over its thread pool above, which both changes the rounding
+    with the thread count and wakes a pool that spins against scipy's.  The
+    chunks keep every partial product on the calling thread, so the sum has
+    the same bits under any thread count; up to ``DOT_CHUNK`` entries it is
+    bitwise ``x @ y``.
+    """
+    if x.shape[0] <= DOT_CHUNK:
+        return float(x @ y)
+    total = 0.0
+    for a in range(0, x.shape[0], DOT_CHUNK):
+        total += float(x[a : a + DOT_CHUNK] @ y[a : a + DOT_CHUNK])
+    return total
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm through ``_dot``; bitwise ``np.linalg.norm`` up to ``DOT_CHUNK`` entries."""
+    return math.sqrt(_dot(x, x))
+
+
 def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
     """Preconditioned conjugate gradients on a symmetric system.
 
@@ -74,45 +107,49 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
     continues (with a residual replacement) if round-off drift left the true
     residual above it.  Nonpositive or non-finite curvature stops the iteration
     with the breakdown flag set, signalling indefiniteness, nullspace
-    contamination or non-finite input.
+    contamination or non-finite input.  Every inner product and norm goes
+    through ``_dot``, so the loop never wakes a BLAS thread pool and its
+    iterates are the same bits under any thread count.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    norm_b = np.linalg.norm(b)
+    norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, time.perf_counter() - t0, [], True)
 
-    # without a preconditioner z is r itself; p is updated in place and the
-    # steps of x and r go through one buffer
+    # without a preconditioner z is r itself, and r . r serves as both the
+    # residual norm and r . z; p is updated in place and the steps of x and r
+    # go through one buffer
     x = np.zeros(n)
     step = np.empty(n)
     r = b.copy()
     z = M(r) if M is not None else r
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     history: list[float] = []
     it = 0
     while it < config.maxiter:
         it += 1
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = _dot(p, Ap)
         if not pAp > 0.0:
-            rel = float(np.linalg.norm(b - A @ x) / norm_b)
+            rel = _norm(b - A @ x) / norm_b
             return x, SolveReport(
                 it, rel, time.perf_counter() - t0, history, False, breakdown=True
             )
         alpha = rz / pAp
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Ap, out=step)
-        rel = float(np.linalg.norm(r) / norm_b)
+        rr = _dot(r, r)
+        rel = math.sqrt(rr) / norm_b
         history.append(rel)
         if callback is not None:
             callback(x)
         if rel <= config.tol:
             true_r = b - A @ x
-            true_rel = float(np.linalg.norm(true_r) / norm_b)
+            true_rel = _norm(true_r) / norm_b
             if true_rel <= config.tol:
                 return x, SolveReport(
                     it, true_rel, time.perf_counter() - t0, history, True
@@ -120,15 +157,17 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
             r = true_r  # replace drifted recursive residual and keep going
             z = M(r) if M is not None else r
             p = z.copy()
-            rz = float(r @ z)
+            rz = _dot(r, z)
             continue
-        if M is not None:
+        if M is None:
+            rz_next = rr
+        else:
             z = M(r)
-        rz_next = float(r @ z)
+            rz_next = _dot(r, z)
         p *= rz_next / rz
         p += z
         rz = rz_next
-    rel = float(np.linalg.norm(b - A @ x) / norm_b)
+    rel = _norm(b - A @ x) / norm_b
     return x, SolveReport(it, rel, time.perf_counter() - t0, history, rel <= config.tol)
 
 
@@ -589,7 +628,7 @@ class AmgLevel:
 @dataclass
 class AmgHierarchy:
     levels: list  # fine-to-coarse AmgLevel entries
-    coarse_lu: object
+    coarse_lu: object  # SuperLU factor of the coarsest matrix
     sizes: list  # matrix sizes, finest first, coarsest last
 
 
@@ -648,16 +687,19 @@ def _aggregate(S: sp.csr_matrix) -> tuple[np.ndarray, int]:
 AMG_THETA = 0.08  # strength-of-connection threshold
 AMG_OMEGA = 2.0 / 3.0  # damping of the prolongator's Jacobi smoothing step
 AMG_MAX_LEVELS = 25  # depth cap of the hierarchy
-AMG_COARSE_N = 200  # coarsening stops at this many rows; the last level is solved densely
+AMG_COARSE_N = 200  # coarsening stops at this many rows; SuperLU solves the last level
 
 
 def amg_build(A, cover=None) -> AmgHierarchy:
-    """Build a smoothed-aggregation hierarchy down to a small dense coarse grid.
+    """Build a smoothed-aggregation hierarchy down to a small coarse grid.
 
     Tentative prolongators are piecewise constant over greedy strength-based
     aggregates, smoothed by one damped-Jacobi step; coarse operators are the
     Galerkin triple products.  Coarsening that shrinks a level by less than
-    10 percent aborts with diagnostics.
+    10 percent aborts with diagnostics.  The coarsest level, of at most
+    ``AMG_COARSE_N`` rows, gets a SuperLU factor; a singular one raises
+    ``AmgError``.  A dense LU there would be bitwise different under one
+    and two BLAS threads.
 
     ``cover``, a boolean mask of the rows of ``A``, restricts the first
     level's aggregates to the rows it marks: its strength graph and
@@ -705,13 +747,16 @@ def amg_build(A, cover=None) -> AmgHierarchy:
         levels.append(AmgLevel(matrix=A, prolong=P))
         A = A_c
         sizes.append(A.shape[0])
-    coarse_lu = la.lu_factor(A.toarray())
+    try:
+        coarse_lu = splu(A.tocsc())
+    except RuntimeError as exc:
+        raise AmgError(f"coarse grid of size {A.shape[0]} failed to factor: {exc}") from exc
     return AmgHierarchy(levels=levels, coarse_lu=coarse_lu, sizes=sizes)
 
 
 def _vcycle(h: AmgHierarchy, k: int, r: np.ndarray) -> np.ndarray:
     if k == len(h.levels):
-        return la.lu_solve(h.coarse_lu, r)
+        return h.coarse_lu.solve(r)
     lvl = h.levels[k]
     # pre-smooth from zero initial guess: one forward Gauss-Seidel sweep
     x = lvl._lower_lu.solve(r)

@@ -360,6 +360,14 @@ def test_build_case_pins_system():
     assert build_system(case.operators).pinned_dof is None
 
 
+@pytest.mark.parametrize("model", ["C", "a", None])
+def test_build_case_rejects_unknown_model(model):
+    """Only "A" and "B" name a labeler; anything else is a GeometryError."""
+    with pytest.raises(GeometryError, match="unknown model"):
+        build_case(model, 16, 4, 1e-2)
+    assert build_case("B", 16, 4, 1e-2).system.model == "B"
+
+
 # Bytes that tracemalloc still traces after a call, over the pinned system's
 # CSR bytes, at A/128/441 and tau 1e-5 (the AMG interface basis is on).
 # SuperLU's own allocations are not traced: the caps bound what is kept

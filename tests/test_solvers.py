@@ -1,6 +1,11 @@
 """Solver stack tests: CG behavior, ILU(0) exactness, AMG hierarchy checks."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,6 +549,13 @@ def test_amg_stagnation_aborts(monkeypatch):
         amg_build(A)
 
 
+def test_amg_singular_coarse_grid_is_an_amg_error():
+    """A coarse grid SuperLU cannot factor raises AmgError, not SuperLU's RuntimeError."""
+    A = sp.csr_matrix(np.ones((3, 3)))  # positive diagonal, rank one, below AMG_COARSE_N
+    with pytest.raises(AmgError, match="coarse grid of size 3"):
+        amg_build(A)
+
+
 @pytest.mark.parametrize("bad", [np.nan, -1.0])
 def test_amg_rejects_bad_diagonal_before_aggregating(monkeypatch, bad):
     """A NaN or negative diagonal entry is an AmgError, raised before aggregation."""
@@ -570,8 +582,13 @@ def _assert_same_hierarchy(got, want):
             for attr in ("data", "indices", "indptr"):
                 x, y = getattr(getattr(a, name), attr), getattr(getattr(b, name), attr)
                 assert x.dtype == y.dtype and np.array_equal(x, y), (name, attr)
-    for x, y in zip(got.coarse_lu, want.coarse_lu):
-        assert x.dtype == y.dtype and np.array_equal(x, y)
+    for name in ("L", "U"):
+        for attr in ("data", "indices", "indptr"):
+            x = getattr(getattr(got.coarse_lu, name), attr)
+            y = getattr(getattr(want.coarse_lu, name), attr)
+            assert x.dtype == y.dtype and np.array_equal(x, y), ("coarse", name, attr)
+    for name in ("perm_r", "perm_c"):
+        assert np.array_equal(getattr(got.coarse_lu, name), getattr(want.coarse_lu, name))
 
 
 @pytest.mark.parametrize("which", ["nodal-A/64/441", "dirichlet-2d"])
@@ -950,36 +967,37 @@ def test_triangle_factor_matches_dense_solve(n, density, lower, seed):
 
 def _ref_cg_solve(A, b, config, M=None):
     """Reference CG loop that allocates its vectors every iteration."""
-    norm_b = np.linalg.norm(b)
+    dot = solvers._dot
+    norm_b = np.sqrt(dot(b, b))
     x = np.zeros(b.shape[0])
     r = b.copy()
     z = M(r) if M is not None else r.copy()
     p = z.copy()
-    rz = float(r @ z)
+    rz = dot(r, z)
     history = []
     it = 0
     while it < config.maxiter:
         it += 1
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = dot(p, Ap)
         if not pAp > 0.0:
             return x, it, history, False
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rel = float(np.linalg.norm(r) / norm_b)
+        rel = float(np.sqrt(dot(r, r)) / norm_b)
         history.append(rel)
         if rel <= config.tol:
             true_r = b - A @ x
-            if float(np.linalg.norm(true_r) / norm_b) <= config.tol:
+            if float(np.sqrt(dot(true_r, true_r)) / norm_b) <= config.tol:
                 return x, it, history, True
             r = true_r
             z = M(r) if M is not None else r.copy()
             p = z.copy()
-            rz = float(r @ z)
+            rz = dot(r, z)
             continue
         z = M(r) if M is not None else r.copy()
-        rz_next = float(r @ z)
+        rz_next = dot(r, z)
         p = z + (rz_next / rz) * p
         rz = rz_next
     return x, it, history, False
@@ -1001,6 +1019,7 @@ def _pinned_case(model, nh, n_cells):
 CG_ORACLE_CASES = {
     "A16-1": lambda: _pinned_case("A", 16, 1),
     "B16-4": lambda: _pinned_case("B", 16, 4),
+    "B128-16": lambda: _pinned_case("B", 128, 16),  # n = 17,616: chunked reductions
     "ill-conditioned-60": _ill_conditioned_dense,
 }
 
@@ -1011,7 +1030,7 @@ def test_cg_iterates_match_reference_loop(name, prec):
     """In-place updates leave every iterate bitwise equal to the allocating loop."""
     A, b = CG_ORACLE_CASES[name]()
     M = ilu0_factor(sp.csr_matrix(A)) if prec == "ilu" else None
-    config = SolverConfig(tol=1e-9, maxiter=5000)
+    config = SolverConfig(tol=1e-9, maxiter=50 if name == "B128-16" else 5000)
     x, report = cg_solve(A, b, config, M=M)
     ref_x, ref_it, ref_history, ref_converged = _ref_cg_solve(A, b, config, M=M)
     assert np.array_equal(x, ref_x)
@@ -1021,3 +1040,73 @@ def test_cg_iterates_match_reference_loop(name, prec):
     if name == "ill-conditioned-60" and prec == "none":
         history = np.array(ref_history)
         assert np.count_nonzero(history[:-1] <= config.tol) > 0  # replacements ran
+
+
+@pytest.mark.parametrize("n", [1, 7, 8191, 8192])
+def test_dot_is_the_plain_product_up_to_one_chunk(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((2, n))
+    assert solvers._dot(x, y) == float(x @ y)
+    assert solvers._norm(x) == float(np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("n", [8193, 3 * 8192, 67984])
+def test_dot_sums_the_chunk_products_in_order(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((2, n))
+    C = solvers.DOT_CHUNK
+    assert C == 8192
+    total = 0.0
+    for a in range(0, n, C):
+        total += float(x[a : a + C] @ y[a : a + C])
+    assert solvers._dot(x, y) == total
+    assert solvers._norm(x) == np.sqrt(solvers._dot(x, x))
+    assert solvers._dot(x, y) == pytest.approx(float(x @ y), rel=1e-12, abs=1e-12 * n)
+
+
+# Runs a few CG iterations per solver and prints the residual histories as
+# exact hex floats, keyed by case and solver.
+_THREAD_PROBE = """
+import json, sys
+from emilab import harness
+from emilab.solvers import SolverConfig, cg_solve
+out = {}
+for model, nh, cells, tau, names in json.loads(sys.argv[1]):
+    case = harness.build_case(model, nh, cells, tau)
+    for solver in names:
+        M = harness._build_preconditioner(case, solver, 1e-4)
+        _, report = cg_solve(case.system.matrix, case.system.rhs, SolverConfig(maxiter=20), M=M)
+        out[f"{model}/{nh}/{cells}/{tau:g} {solver}"] = [h.hex() for h in report.residual_history]
+print(json.dumps(out))
+"""
+# n = 67,984 on B/256/16: CG's reductions are above OpenBLAS's threading
+# cut-off; the AMG coarse grids of both cases are 162 and 146 rows
+_THREAD_CASES = [
+    ("B", 256, 16, 1e-2, ["cg", "ilu", "blockdiag", "amg"]),
+    ("A", 64, 441, 1e-2, ["amg"]),
+]
+
+
+def _histories_with_threads(threads: int) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    done = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, json.dumps(_THREAD_CASES)],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs for a two-thread BLAS"
+)
+def test_residual_histories_do_not_depend_on_blas_threads():
+    """Every solver's CG steps (20 at most) are the same bits under 1 and 2 BLAS threads."""
+    one, two = _histories_with_threads(1), _histories_with_threads(2)
+    assert sorted(one) == sorted(two)
+    assert len(one) == 5
+    for key in one:
+        assert len(one[key]) >= 10, key
+        assert one[key] == two[key], key
