@@ -7,15 +7,19 @@ reverse Cuthill-McKee order when its half-bandwidth there is at most
 ``BAND_MAX``, and a SuperLU factor otherwise; each distinct cell block
 (cells are grouped by bitwise identity) gets one factor, a dense inverse
 Cholesky factor up to ``DENSE_BLOCK_MAX`` dofs and a SuperLU factor above,
-shared by all the cells of its group.  The AMG
+shared by all the cells of its group.  A group's dense factor is applied to
+all its cells in two matrix products, and its SuperLU factor solves
+``CELL_RHS_ENTRIES // size`` cells per call, as the columns of one
+multi-right-hand-side solve.  The AMG
 preconditioner applies a single V(1,1) cycle of a smoothed-aggregation
 hierarchy with symmetric Gauss-Seidel smoothing, built once per matrix, and
 solves its coarsest level with SuperLU.
 
 The solve loop runs on the calling thread: CG reduces through ``_dot``,
 whose chunks stay below OpenBLAS's threading cut-off, and the
-preconditioner applies use sparse products, SuperLU, LAPACK's banded solve
-and small dense products.  Residual histories and iteration counts are
+preconditioner applies use sparse products, SuperLU solves of at most
+``CELL_RHS_ENTRIES`` right-hand-side entries, LAPACK's banded solve and small
+dense products.  Residual histories and iteration counts are
 therefore the same bits under any BLAS thread count.
 """
 
@@ -374,6 +378,10 @@ def ilu0_factor(A) -> ILU0Preconditioner:
 
 
 DENSE_BLOCK_MAX = 64  # distinct cell blocks up to this many dofs are factored densely
+# right-hand-side entries per SuperLU solve of a cell group: up to this size
+# SuperLU's BLAS calls stayed on the calling thread (16 x 625, 4 x 2401 and
+# 4 x 9409 did; 16 x 2401 and 8 x 9409 woke OpenBLAS's pool)
+CELL_RHS_ENTRIES = 10_000
 BAND_MAX = 100  # extracellular half-bandwidths (RCM order) up to this are factored banded
 
 
@@ -438,7 +446,8 @@ def _extracellular_factor(A: sp.csr_matrix):
     blocks.  A block that is not positive definite raises
     ``np.linalg.LinAlgError``.
     """
-    order = reverse_cuthill_mckee(A, symmetric_mode=True)
+    # intp, so that numpy does not cast the order on every gather and scatter
+    order = reverse_cuthill_mckee(A, symmetric_mode=True).astype(np.intp)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order), dtype=order.dtype)
     coo = A.tocoo()
@@ -466,7 +475,9 @@ class _CellGroup:
     """Cells whose blocks are bitwise equal, and the one factor they share.
 
     ``factor`` is either the dense ``W = L^{-1}`` of the block ``L L^T`` or a
-    SuperLU factor of the block.
+    SuperLU factor of the block.  The dense factor is applied to every member
+    at once; the SuperLU factor solves ``CELL_RHS_ENTRIES // size`` members
+    (at least one) per call, one member per column.
     """
 
     dofs: slice | np.ndarray  # the members' dofs, cell after cell
@@ -479,8 +490,13 @@ class _CellGroup:
         if isinstance(self.factor, np.ndarray):
             W = self.factor
             z[self.dofs] = ((R @ W.T) @ W).ravel()
-        else:
-            z[self.dofs] = np.concatenate([self.factor.solve(x) for x in R])
+            return
+        # one SuperLU solve per chunk of cells, the chunk's cells as its columns
+        k = max(1, CELL_RHS_ENTRIES // self.size)
+        Z = np.empty_like(R)
+        for a in range(0, R.shape[0], k):
+            Z[a : a + k] = self.factor.solve(R[a : a + k].T).T
+        z[self.dofs] = Z.ravel()
 
 
 @dataclass
@@ -586,8 +602,12 @@ def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPrecondition
     products ``(R W^T) W`` over the slab R with one cell per row.  The factor
     is L_i^{-1}, not P_i^{-1}: a cell block's condition number is about 5e8,
     and an explicit P_i^{-1} raised the CG counts by 7-11%.  A larger block
-    gets one SuperLU factor, applied cell by cell; its solves are bitwise
-    those of one SuperLU factor of the whole matrix, on the cell rows.
+    gets one SuperLU factor, which solves ``CELL_RHS_ENTRIES // size`` of its
+    cells per call as the columns of one right-hand side: at B/128/16 that is
+    one solve of 16 cells instead of 16 solves.  A multi-column solve rounds
+    differently from a single-column one, so the cell rows agree with one
+    SuperLU factor of the whole matrix to a few units in the last place, not
+    bit for bit.
     """
     eps = float(operators.config.epsilon if eps is None else eps)
     P = blockdiag_matrix(operators, eps)

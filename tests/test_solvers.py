@@ -23,6 +23,7 @@ from emilab.solvers import (
     AmgError,
     AmgPreconditioner,
     BAND_MAX,
+    CELL_RHS_ENTRIES,
     DENSE_BLOCK_MAX,
     SolverConfig,
     _aggregate,
@@ -405,22 +406,40 @@ def test_blockdiag_indefinite_extracellular_block_raises():
         blockdiag_prec(bad, eps=1e-4)
 
 
+def _chunked_cell_solve(block, R):
+    """Solves of the cells ``R`` (one per row) with a fresh SuperLU factor of
+    ``block``, ``CELL_RHS_ENTRIES // size`` cells per solve, flattened."""
+    lu = splu(block.tocsc())
+    k = max(1, CELL_RHS_ENTRIES // block.shape[0])
+    return np.concatenate([lu.solve(R[a : a + k].T).T.ravel() for a in range(0, len(R), k)])
+
+
 @pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("A", 32, 1), ("B", 32, 4),
-                                              ("B", 128, 16)])
+                                              ("B", 128, 16), ("B", 256, 16)])
 def test_blockdiag_large_cells_match_whole_matrix_factor(model, nh, n_cells):
-    """Cells above DENSE_BLOCK_MAX dofs share one SuperLU factor, and their
-    rows of the action are bitwise those of one SuperLU factor of the whole
-    matrix; the extracellular rows are bitwise scipy's banded Cholesky solve
-    of the block in reverse Cuthill-McKee order."""
+    """Cells above DENSE_BLOCK_MAX dofs share one SuperLU factor, solved
+    ``CELL_RHS_ENTRIES // size`` cells at a time (B/256/16: 4 solves of 4
+    cells).  Their rows of the action are bitwise those chunked solves with a
+    fresh SuperLU factor of one member's block, and within 16 u of the largest
+    entry of one SuperLU factor of the whole matrix (2.4 u measured at
+    B/128/16, where a multi-column solve rounds differently); the
+    extracellular rows are bitwise scipy's banded Cholesky solve of the block
+    in reverse Cuthill-McKee order.  The action keeps the normwise
+    backward-error bound of the split path."""
     system, ops = _emi_case(nh, n_cells, model=model)
     assert ops.dofmap.block_sizes[1:].min() > DENSE_BLOCK_MAX
     prec = blockdiag_prec(ops, eps=1e-4)
     [group] = prec._cells
-    assert not isinstance(group.factor, np.ndarray)
+    assert isinstance(group.factor, SuperLU)
     r = np.random.default_rng(29).standard_normal(system.n)
     z, n0 = prec(r), ops.dofmap.n0
-    assert np.array_equal(z[n0:], splu(prec.matrix.tocsc()).solve(r)[n0:])
+    s, e = ops.dofmap.block_range(1)
+    cells = _chunked_cell_solve(prec.matrix[s:e, s:e], r[n0:].reshape(-1, e - s))
+    assert np.array_equal(z[n0:], cells)
+    whole = splu(prec.matrix.tocsc()).solve(r)[n0:]
+    assert np.abs(z[n0:] - whole).max() <= 16 * np.finfo(float).eps * np.abs(whole).max()
     assert np.array_equal(z[:n0], _rcm_banded_solve(prec.matrix[:n0, :n0], r[:n0]))
+    _assert_backward_stable(prec, r)
 
 
 def _with_cell_rows_changed(ops, cell, change):
@@ -456,6 +475,31 @@ def test_blockdiag_one_differing_cell_gets_its_own_factor(change):
     assert members == {cells[0] | cells[2] | cells[3], cells[1]}
     # the normwise backward-error bound of the split path still holds
     rng = np.random.default_rng(31)
+    _assert_backward_stable(prec, rng.standard_normal(system.n))
+    _assert_symmetric_positive(prec, system.n, rng)
+
+
+def test_blockdiag_superlu_group_gathers_non_consecutive_cells():
+    """B/32/4 (169-dof cells) with cell 2 one ulp off: cells 1, 3 and 4 share
+    one SuperLU factor through a gathered dof array and cell 2 has its own;
+    each group's rows are bitwise the chunked solve of a fresh factor of its
+    block, and the action stays backward stable, symmetric and positive."""
+    system, ops = _emi_case(32, 4, model="B")
+    changed = _with_cell_rows_changed(ops, 2, _one_ulp_up_on_first_diagonal)
+    prec = blockdiag_prec(changed, eps=1e-4)
+    shared, single = sorted(prec._cells, key=lambda g: -np.arange(system.n)[g.dofs].size)
+    cell = [np.arange(*ops.dofmap.block_range(i)) for i in (1, 2, 3, 4)]
+    assert isinstance(shared.dofs, np.ndarray)
+    assert np.array_equal(shared.dofs, np.concatenate([cell[0], cell[2], cell[3]]))
+    assert np.array_equal(np.arange(system.n)[single.dofs], cell[1])
+    assert isinstance(shared.factor, SuperLU) and isinstance(single.factor, SuperLU)
+    rng = np.random.default_rng(41)
+    r = rng.standard_normal(system.n)
+    z = prec(r)
+    for group, first in ((shared, cell[0]), (single, cell[1])):
+        block = prec.matrix[first[0] : first[-1] + 1, first[0] : first[-1] + 1]
+        R = r[group.dofs].reshape(-1, group.size)
+        assert np.array_equal(z[group.dofs], _chunked_cell_solve(block, R))
     _assert_backward_stable(prec, rng.standard_normal(system.n))
     _assert_symmetric_positive(prec, system.n, rng)
 
@@ -1080,7 +1124,8 @@ for model, nh, cells, tau, names in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 # n = 67,984 on B/256/16: CG's reductions are above OpenBLAS's threading
-# cut-off; the AMG coarse grids of both cases are 162 and 146 rows
+# cut-off, and blockdiag solves its 16 cells of 2401 dofs 4 at a time; the
+# AMG coarse grids of both cases are 162 and 146 rows
 _THREAD_CASES = [
     ("B", 256, 16, 1e-2, ["cg", "ilu", "blockdiag", "amg"]),
     ("A", 64, 441, 1e-2, ["amg"]),
