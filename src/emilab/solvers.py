@@ -666,23 +666,35 @@ def _strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
     return S
 
 
-def _aggregate(S: sp.csr_matrix) -> tuple[np.ndarray, int]:
-    """Greedy aggregation over the strength graph, deterministic in row order.
+def _aggregate(S: sp.csr_matrix, A: sp.csr_matrix) -> tuple[np.ndarray, int]:
+    """Greedy aggregation over the strength graph ``S`` of ``A``, deterministic
+    in row order.
 
     A row whose strong neighbours are all unassigned seeds an aggregate with
     them; a leftover row joins the aggregate of its strongest assigned
-    neighbour (the first one on ties), or becomes a singleton.
+    neighbour (the first one on ties).  A row with no strong neighbour seeds
+    nothing: it joins the aggregate of its assigned neighbour with the largest
+    |a_ij| in ``A``.  A row with no nonzero off-diagonal entry in ``A``, such
+    as the pinned row, stays a singleton, and so does a row none of whose
+    neighbours is assigned.
     """
     n = S.shape[0]
     agg = np.full(n, -1, dtype=np.int64)
     indptr, indices, vals, ag = (
         memoryview(S.indptr), memoryview(S.indices), memoryview(S.data), memoryview(agg)
     )
+    a_ptr, a_idx, a_abs = (
+        memoryview(A.indptr), memoryview(A.indices), memoryview(np.abs(A.data))
+    )
     next_id = 0
     for i in range(n):
         if ag[i] != -1:
             continue
         nbrs = range(indptr[i], indptr[i + 1])
+        if not nbrs and any(
+            a_idx[t] != i and a_abs[t] > 0 for t in range(a_ptr[i], a_ptr[i + 1])
+        ):
+            continue  # attached in the second pass
         if all(ag[indices[t]] == -1 for t in nbrs):
             ag[i] = next_id
             for t in nbrs:
@@ -691,13 +703,18 @@ def _aggregate(S: sp.csr_matrix) -> tuple[np.ndarray, int]:
     for i in range(n):
         if ag[i] != -1:
             continue
-        best = -1
-        for t in range(indptr[i], indptr[i + 1]):
-            c = indices[t]
-            if ag[c] != -1 and (best == -1 or vals[t] > vals[best]):
-                best = t
+        # without a strong neighbour the row of A is searched; its diagonal
+        # entry is the row's own, still unassigned, column
+        if indptr[i] < indptr[i + 1]:
+            ptr, idx, val = indptr, indices, vals
+        else:
+            ptr, idx, val = a_ptr, a_idx, a_abs
+        best, best_val = -1, 0.0
+        for t in range(ptr[i], ptr[i + 1]):
+            if ag[idx[t]] != -1 and val[t] > best_val:
+                best, best_val = t, val[t]
         if best != -1:
-            ag[i] = ag[indices[best]]
+            ag[i] = ag[idx[best]]
         else:
             ag[i] = next_id
             next_id += 1
@@ -745,13 +762,12 @@ def amg_build(A, cover=None) -> AmgHierarchy:
             break
         n = A.shape[0]
         if cover is None:
-            rows = np.arange(n)
-            S = _strength_graph(A, AMG_THETA)
+            rows, covered = np.arange(n), A
         else:
             rows = np.flatnonzero(cover)
-            S = _strength_graph(A[rows][:, rows], AMG_THETA)
+            covered = A[rows][:, rows]
             cover = None
-        agg, n_agg = _aggregate(S)
+        agg, n_agg = _aggregate(_strength_graph(covered, AMG_THETA), covered)
         if n_agg >= 0.9 * n:
             raise AmgError(
                 "aggregation stagnated: "

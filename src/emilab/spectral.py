@@ -3,7 +3,12 @@ distribution checks.
 
 A symbol here is a real trigonometric polynomial on the d-torus given by its
 finitely many Fourier coefficients; the associated d-level Toeplitz matrix
-carries coefficient f_{k-l} at multi-index (k, l).  Spectral distribution of
+carries coefficient f_{k-l} at multi-index (k, l).  A separable symbol, a
+sum of one-variable symbols, has the Kronecker sum of one-level Toeplitz
+matrices as its matrix, so ``toeplitz_eigenvalues`` takes its spectrum from
+one small eigensolve per level and never densifies the d-level matrix.
+Every other spectrum comes from one dense reduction (``eig_rearranged``),
+residual-checked on ten sampled eigenpairs.  Spectral distribution of
 a symmetric matrix sequence against a symbol is quantified two ways: the mean
 gap between sorted eigenvalues and sorted symbol samples after quantile
 resampling, and the Weyl averages of a fixed battery of smooth compactly
@@ -30,6 +35,7 @@ __all__ = [
     "laplacian_1d_symbol",
     "constant_symbol",
     "toeplitz_from_symbol",
+    "toeplitz_eigenvalues",
     "eig_rearranged",
     "distribution_distance",
 ]
@@ -43,6 +49,7 @@ RANGE_POINTS_PER_AXIS = 256  # midpoint grid that estimates a symbol's range
 SAMPLES_PER_AXIS = 128  # midpoint grid whose symbol values the quantiles compare
 RESIDUAL_SAMPLES = 10  # eigenpairs residual-checked per spectrum
 RESIDUAL_TOL = 1e-8  # accepted eigenpair residual, relative to |A|
+MOMENT_TOL = 1e-12  # accepted gap of a Kronecker-sum spectrum's two moments, relative
 REFLECTOR_PANEL = 64  # Householder reflectors copied and applied at once
 MAX_QUANTILES = 1024  # longest quantile vector a distribution report compares
 OUTLIER_DELTA = 0.1  # widening of the symbol range before counting outliers
@@ -129,6 +136,15 @@ def constant_symbol(value: float) -> SymbolFunction:
     return SymbolFunction(dim=1, coeffs={(0,): float(value)})
 
 
+def _level_sizes(symbol: SymbolFunction, nu) -> tuple:
+    nu = (int(nu),) if np.isscalar(nu) else tuple(int(m) for m in nu)
+    if len(nu) != symbol.dim:
+        raise SpectralError(f"size multi-index {nu} does not match arity {symbol.dim}")
+    if any(m < 1 for m in nu):
+        raise SpectralError("each level size must be at least 1")
+    return nu
+
+
 def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> sp.csr_matrix:
     """Sparse (CSR) d-level Toeplitz matrix with entries f_{k-l} from the symbol.
 
@@ -139,11 +155,7 @@ def toeplitz_from_symbol(symbol: SymbolFunction, nu) -> sp.csr_matrix:
     (number of coefficients) x (size) entries; a coefficient that is zero is
     stored as an explicit zero.
     """
-    nu = (int(nu),) if np.isscalar(nu) else tuple(int(m) for m in nu)
-    if len(nu) != symbol.dim:
-        raise SpectralError(f"size multi-index {nu} does not match arity {symbol.dim}")
-    if any(m < 1 for m in nu):
-        raise SpectralError("each level size must be at least 1")
+    nu = _level_sizes(symbol, nu)
     total = int(np.prod(nu))
     grid = np.indices(nu).reshape(len(nu), total)  # row multi-indices, first outermost
     rows, cols, vals = [], [], []
@@ -201,9 +213,12 @@ def _tridiagonal_eigh(A: np.ndarray):
     f2py first).  The eigenvalues of T come from ``dsterf``, the pair that
     ``la.eigh(A, eigvals_only=True, driver="evd")`` runs, so the spectrum is
     bitwise that call's.  ``vectors(idx)`` computes only the requested
-    eigenvectors: bisection for each eigenvalue of T (``dstebz``), inverse
-    iteration for its vector (``dstein``), and Q applied to them
-    (``dormqr``, one panel of ``REFLECTOR_PANEL`` reflectors at a time).
+    eigenvectors: one inverse-iteration call (``dstein``) takes the sorted
+    eigenvalues ``vals[idx]``, with T treated as one block (dstein perturbs
+    equal eigenvalues and reorthogonalizes close ones, so a split or
+    repeated spectrum needs no block structure), and Q is applied to the
+    vectors (``dormqr``, one panel of ``REFLECTOR_PANEL`` reflectors at a
+    time).
     """
     n = A.shape[0]
     if n == 1:  # no off-diagonal to reduce (f2py rejects the empty one)
@@ -216,14 +231,9 @@ def _tridiagonal_eigh(A: np.ndarray):
     _lapack_ok("dsterf", info)
 
     def vectors(idx):
-        Y = np.empty((n, len(idx)), order="F")
-        for j, i in enumerate(idx):
-            # range 3 ("I"): the (i+1)-th smallest eigenvalue of T alone
-            _, w, iblock, isplit, info = lapack.dstebz(d, e, 3, 0.0, 0.0, i + 1, i + 1, 0.0, "B")
-            _lapack_ok("dstebz", info)
-            z, info = lapack.dstein(d, e, w[:1], iblock, isplit)
-            _lapack_ok("dstein", info)
-            Y[:, j] = z[:, 0]
+        # one block: dstein reads iblock[:len(idx)] and isplit[0] only
+        Y, info = lapack.dstein(d, e, vals[idx], np.ones(n, np.int32), np.full(n, n, np.int32))
+        _lapack_ok("dstein", info)
         # Q = H(1) ... H(n-1) leaves the first coordinate alone.  The
         # reflectors are applied one panel at a time, the last panel first:
         # reflector s acts on rows s+1.. only, so a panel is an
@@ -282,6 +292,54 @@ def eig_rearranged(M, P=None) -> np.ndarray:
     for r in np.linalg.norm(residuals, axis=0):
         if r > tol:
             raise SpectralError(f"eigenpair residual {r:.2e} exceeds {RESIDUAL_TOL:.0e} * |A|")
+    return vals
+
+
+def _one_level_symbols(symbol: SymbolFunction) -> list:
+    """The one-variable symbols f_l with f(theta) = sum_l f_l(theta_l).
+
+    Level l gets the coefficients whose offset is nonzero at l alone, and
+    level 0 the zero offset too; an offset with two nonzero components
+    makes the symbol non-separable.
+    """
+    parts = [{(0,): 0.0} for _ in range(symbol.dim)]
+    for k, v in symbol.coeffs.items():
+        nonzero = np.flatnonzero(k)
+        if nonzero.size > 1:
+            raise SpectralError(f"symbol is not separable: coefficient at offset {k}")
+        level = int(nonzero[0]) if nonzero.size else 0
+        parts[level][(k[level],)] = v
+    return [SymbolFunction(dim=1, coeffs=c) for c in parts]
+
+
+def toeplitz_eigenvalues(symbol: SymbolFunction, nu) -> np.ndarray:
+    """Nondecreasing spectrum of the d-level Toeplitz matrix of a separable symbol.
+
+    The matrix of f = f_0(theta_0) + ... + f_{d-1}(theta_{d-1}) is the
+    Kronecker sum of the one-level matrices T_{nu_l}(f_l), so its spectrum
+    is the outer sum of theirs; each level is eigensolved by
+    ``eig_rearranged`` and residual-checked there.  The sum is checked
+    against the assembled sparse matrix T by its first two moments,
+    sum(lambda) = trace(T) and sum(lambda^2) = |T|_F^2, within ``MOMENT_TOL``
+    of sqrt(size) |T|_F and |T|_F^2.  A non-separable symbol raises
+    ``SpectralError``.
+    """
+    nu = _level_sizes(symbol, nu)
+    vals = np.zeros(1)
+    for f, m in zip(_one_level_symbols(symbol), nu):
+        vals = np.add.outer(vals, eig_rearranged(toeplitz_from_symbol(f, m))).ravel()
+    vals = np.sort(vals)
+    T = toeplitz_from_symbol(symbol, nu)
+    trace, frobenius2 = float(T.diagonal().sum()), float(T.data @ T.data)
+    # |trace(T)| <= sqrt(size) |T|_F, so both moments are judged on |T|_F's scale
+    for name, got, want, scale in (
+        ("trace", vals.sum(), trace, np.sqrt(vals.size * frobenius2)),
+        ("squared Frobenius norm", vals @ vals, frobenius2, frobenius2),
+    ):
+        if not abs(got - want) <= MOMENT_TOL * scale:
+            raise SpectralError(
+                f"Kronecker-sum spectrum misses the {name}: {got!r} against {want!r}"
+            )
     return vals
 
 

@@ -257,6 +257,24 @@ def test_spectral_suite_builds_no_pinned_system(monkeypatch):
     assert not any(isinstance(rep, dict) and "error" in rep for rep in reports)
 
 
+def test_spectral_suite_szego_check_uses_the_kronecker_sum(monkeypatch):
+    """The Szego report is that of the Kronecker-sum spectrum, and the
+    harness eigensolves no nh^2 x nh^2 matrix: the Toeplitz matrix is never
+    densified."""
+    sizes = []
+    original = harness.eig_rearranged
+    monkeypatch.setattr(
+        harness, "eig_rearranged", lambda M, *a: sizes.append(M.shape[0]) or original(M, *a)
+    )
+    results = run_spectral_suite(ExperimentSpec(model="A", nh_list=(16, 32), cells_list=(1,)))
+    assert sizes and not {16 * 16, 32 * 32} & set(sizes)
+    f = spectral.p1_laplacian_symbol()
+    for nh, rep in results["szego"]:
+        want = spectral.distribution_distance(spectral.toeplitz_eigenvalues(f, (nh, nh)), f)
+        assert rep.eig_quantiles.tobytes() == want.eig_quantiles.tobytes()
+        assert rep.matrix_size == nh * nh
+
+
 def test_spectral_suite_integrates_each_symbol_once(monkeypatch):
     """The suite's symbols come from cached factories, so their integrals
     are computed at most once per process, not on every suite call."""
@@ -688,7 +706,7 @@ def test_cli_spectra_failed_check_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "scaled nh=8: failed (SpectralError: eigenpair residual" in capsys.readouterr().out
     summary = json.loads((tmp_path / "spectra_summary.json").read_text())
-    for kind in ("scaled", "preconditioned"):  # every check goes through eig_rearranged
+    for kind in ("scaled", "preconditioned"):  # both go through harness.eig_rearranged
         assert summary[kind][0]["error"].startswith("SpectralError: eigenpair residual")
 
 

@@ -607,7 +607,7 @@ def test_amg_rejects_bad_diagonal_before_aggregating(monkeypatch, bad):
     A[137, 137] = bad
     A = A.tocsr()
 
-    def unreachable(S):
+    def unreachable(S, A):
         raise AssertionError("aggregated a matrix with a bad diagonal")
 
     monkeypatch.setattr(solvers, "_aggregate", unreachable)
@@ -655,8 +655,8 @@ def test_amg_cover_restricts_the_first_aggregates():
     cover = np.arange(A.shape[0]) % 3 != 0
     h = amg_build(A, cover=cover)
     n = A.shape[0]
-    S = _strength_graph(A[cover][:, cover], solvers.AMG_THETA)
-    agg, n_agg = _aggregate(S)
+    covered = A[cover][:, cover]
+    agg, n_agg = _aggregate(_strength_graph(covered, solvers.AMG_THETA), covered)
     assert h.sizes[1] == n_agg
     P_t = sp.csr_matrix((np.ones(agg.size), (np.flatnonzero(cover), agg)), shape=(n, n_agg))
     d_inv = sp.diags(1.0 / A.diagonal())
@@ -697,6 +697,17 @@ def test_amg_on_pinned_system():
     _, report = cg_solve(system.matrix, system.rhs, M=AmgPreconditioner(h))
     assert report.converged
     assert report.iterations <= 40
+
+
+def test_amg_converges_on_dense_model_a_at_moderate_tau():
+    """A/256/7225 at tau 0.3: from the second level on the cell nodes have no
+    strong neighbour.  As singletons they stagnated the coarsening; attached
+    to the aggregate of their largest coupling they converge in 29."""
+    case = harness.build_case("A", 256, 7225, 0.3)
+    prec = harness._build_preconditioner(case, "amg", 1e-4)
+    assert prec.basis is None
+    _, report = cg_solve(case.system.matrix, case.system.rhs, SolverConfig(tol=1e-9), M=prec)
+    assert report.converged and report.iterations <= 40
 
 
 # ---------------------------------------------------------------------------
@@ -808,16 +819,24 @@ def _loop_ilu0_sweep(A):
     return data, min_piv
 
 
-def _ref_aggregate(S):
+def _ref_aggregate(S, A):
     """Reference greedy aggregation with numpy fancy indexing per row."""
     n = S.shape[0]
     agg = np.full(n, -1, dtype=np.int64)
-    indptr, indices, data = S.indptr, S.indices, S.data
+
+    def row(M, i):
+        span = slice(M.indptr[i], M.indptr[i + 1])
+        return M.indices[span], np.abs(M.data[span])
+
     next_id = 0
     for i in range(n):
         if agg[i] != -1:
             continue
-        nbrs = indices[indptr[i] : indptr[i + 1]]
+        nbrs, _ = row(S, i)
+        if len(nbrs) == 0:
+            cols, weights = row(A, i)
+            if np.any((cols != i) & (weights > 0)):
+                continue  # attached in the second pass
         if len(nbrs) == 0 or np.all(agg[nbrs] == -1):
             agg[i] = next_id
             agg[nbrs] = next_id
@@ -825,9 +844,10 @@ def _ref_aggregate(S):
     for i in range(n):
         if agg[i] != -1:
             continue
-        nbrs = indices[indptr[i] : indptr[i + 1]]
-        vals = data[indptr[i] : indptr[i + 1]]
-        assigned = agg[nbrs] != -1
+        nbrs, vals = row(S, i)
+        if len(nbrs) == 0:
+            nbrs, vals = row(A, i)
+        assigned = (agg[nbrs] != -1) & (vals > 0)
         if np.any(assigned):
             cand = nbrs[assigned]
             strength = vals[assigned]
@@ -852,12 +872,26 @@ def _interface_transform_a16():
     return Q.T @ system.matrix @ Q
 
 
+def _laplacian_with_weak_and_pinned_rows():
+    """Row 7 has only weak couplings, the largest to row 13; row 20 is pinned."""
+    A = dirichlet_laplacian_2d(6).tolil()
+    for j in A.rows[7]:
+        if j != 7:
+            A[7, j] = A[j, 7] = -1e-3
+    A[7, 13] = A[13, 7] = -2e-3
+    A[20, :] = 0.0
+    A[:, 20] = 0.0
+    A[20, 20] = 1.0
+    return A.tocsr()
+
+
 ORACLE_MATRICES = {
     "laplacian-12": lambda: dirichlet_laplacian_2d(12),
     "A16-1": lambda: _emi_case(16, 1)[0].matrix,
     "A16-1-interface-basis": _interface_transform_a16,
     "B32-4": lambda: _emi_case(32, 4, model="B")[0].matrix,
     "isolated-row": _laplacian_with_isolated_row,
+    "weak-and-pinned-rows": _laplacian_with_weak_and_pinned_rows,
 }
 
 
@@ -939,14 +973,33 @@ def test_ilu0_non_finite_entry_rejected(bad):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
 def test_aggregate_matches_reference(name):
-    S = _strength_graph(_sorted_csr(ORACLE_MATRICES[name]()), theta=0.08)
-    agg, n_agg = _aggregate(S)
-    ref_agg, ref_n_agg = _ref_aggregate(S)
+    A = _sorted_csr(ORACLE_MATRICES[name]())
+    S = _strength_graph(A, theta=0.08)
+    agg, n_agg = _aggregate(S, A)
+    ref_agg, ref_n_agg = _ref_aggregate(S, A)
     assert np.array_equal(agg, ref_agg)
     assert n_agg == ref_n_agg
     if name == "isolated-row":
         assert np.diff(S.indptr)[7] == 0
         assert np.count_nonzero(agg == agg[7]) == 1
+
+
+def test_aggregate_attaches_a_row_without_strong_neighbours():
+    """A weakly coupled row joins the aggregate of its largest coupling; a
+    row with no off-diagonal entry stays a singleton."""
+    A = _sorted_csr(_laplacian_with_weak_and_pinned_rows())
+    S = _strength_graph(A, theta=solvers.AMG_THETA)
+    assert np.diff(S.indptr)[[7, 20]].tolist() == [0, 0]
+    agg, _ = _aggregate(S, A)
+    assert agg[7] == agg[13] != agg[1] and np.count_nonzero(agg == agg[7]) > 2
+    assert np.count_nonzero(agg == agg[20]) == 1
+
+
+def test_aggregate_keeps_the_pinned_row_alone():
+    system, _ = _emi_case(16, 1)
+    A = _sorted_csr(system.matrix)
+    agg, _ = _aggregate(_strength_graph(A, solvers.AMG_THETA), A)
+    assert np.count_nonzero(agg == agg[system.pinned_dof]) == 1
 
 
 # ---------------------------------------------------------------------------
