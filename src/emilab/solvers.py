@@ -4,9 +4,10 @@ Every preconditioner is a callable ``z = M(r)`` whose action is linear and
 symmetric, as required for CG.  The block-diagonal preconditioner is
 factored once: the extracellular block gets a banded Cholesky factor in
 reverse Cuthill-McKee order when its half-bandwidth there is at most
-``BAND_MAX``, and a SuperLU factor otherwise; each distinct cell block
-(cells are grouped by bitwise identity) gets one factor, a dense inverse
-Cholesky factor up to ``DENSE_BLOCK_MAX`` dofs and a SuperLU factor above,
+``BAND_MAX`` (factored in lower band storage up to ``BAND_LOWER_MAX`` and
+applied from upper storage), and a SuperLU factor otherwise; each distinct
+cell block (cells are grouped by bitwise identity) gets one factor, a dense
+inverse Cholesky factor up to ``DENSE_BLOCK_MAX`` dofs and a SuperLU factor above,
 shared by all the cells of its group.  A group's dense factor is applied to
 all its cells in two matrix products, and its SuperLU factor solves
 ``CELL_RHS_ENTRIES // size`` cells per call, as the columns of one
@@ -20,7 +21,10 @@ whose chunks stay below OpenBLAS's threading cut-off, and the
 preconditioner applies use sparse products, SuperLU solves of at most
 ``CELL_RHS_ENTRIES`` right-hand-side entries, LAPACK's banded solve and small
 dense products.  Residual histories and iteration counts are
-therefore the same bits under any BLAS thread count.
+therefore the same bits under any BLAS thread count.  The block-diagonal
+set-up stays on the calling thread too up to ``BAND_LOWER_MAX``, so no
+OpenBLAS thread is left spinning through the CG loop after it; a wider band
+still wakes scipy's pool.
 """
 
 from __future__ import annotations
@@ -383,6 +387,14 @@ DENSE_BLOCK_MAX = 64  # distinct cell blocks up to this many dofs are factored d
 # 4 x 9409 did; 16 x 2401 and 8 x 9409 woke OpenBLAS's pool)
 CELL_RHS_ENTRIES = 10_000
 BAND_MAX = 100  # extracellular half-bandwidths (RCM order) up to this are factored banded
+# half-bandwidths up to this are factored in lower band storage: there
+# OpenBLAS's dpbtrf stayed on the calling thread (2-core host, 2 threads:
+# 0.5 against 2.7 ms at kd 19 and 2.1 against 15 ms at kd 35, upper storage
+# leaving the pool spinning), and its factor, copied to upper storage, was
+# bitwise the upper-storage one (kd 7-64).  From kd 65 both storages woke the
+# pool and the two factors differed in the last bits (A/64/441 blockdiag
+# 63 -> 64 iterations), so the wider bands keep the upper-storage call.
+BAND_LOWER_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -436,6 +448,26 @@ class _BandedCholesky:
         return self.U.T.tocsc()
 
 
+def _lower_to_upper_band(low: np.ndarray) -> np.ndarray:
+    """The band of ``U = L^T`` in upper storage, from L's lower band storage.
+
+    ``low[d, c] = L[c + d, c]`` goes to ``U[c, c + d]``, that is to
+    ``up[kd - d, c + d]``: in Fortran order that is the flat position
+    ``kd + c (kd + 1) + d kd``, so one strided view of the upper buffer takes
+    the whole lower band in one copy.  The buffer has kd spare columns for the
+    unused tail of the lower band (``c + d >= n``); the result is a view of
+    its first n columns, which stay Fortran-contiguous.
+    """
+    kd, n = low.shape[0] - 1, low.shape[1]
+    buf = np.zeros((kd + 1) * (n + kd))
+    step = buf.itemsize
+    view = np.lib.stride_tricks.as_strided(
+        buf[kd:], shape=(kd + 1, n), strides=(kd * step, (kd + 1) * step)
+    )
+    view[...] = low
+    return buf.reshape((kd + 1, n + kd), order="F")[:, :n]
+
+
 def _extracellular_factor(A: sp.csr_matrix):
     """Factor of the SPD extracellular block A, chosen by its bandwidth.
 
@@ -443,8 +475,11 @@ def _extracellular_factor(A: sp.csr_matrix):
     is at most ``BAND_MAX``, LAPACK's banded Cholesky (``dpbtrf``) factors
     it; otherwise SuperLU factors A with diagonal pivots in the minimum-degree
     order of A + A^T, which holds about 60% of COLAMD's fill on these
-    blocks.  A block that is not positive definite raises
-    ``np.linalg.LinAlgError``.
+    blocks.  Up to ``BAND_LOWER_MAX`` the band is factored in lower storage,
+    which keeps OpenBLAS on the calling thread, and copied into the upper
+    storage that ``dpbtrs`` reads; the copy is bitwise the upper-storage
+    factor there.  A wider band is factored in upper storage.  A block that
+    is not positive definite raises ``np.linalg.LinAlgError``.
     """
     # intp, so that numpy does not cast the order on every gather and scatter
     order = reverse_cuthill_mckee(A, symmetric_mode=True).astype(np.intp)
@@ -460,14 +495,18 @@ def _extracellular_factor(A: sp.csr_matrix):
             A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
+    lower = kd <= BAND_LOWER_MAX
     band = np.zeros((kd + 1, A.shape[0]), order="F")
-    band[kd + i - j, j] = coo.data[upper]
-    band, info = lapack.dpbtrf(band, overwrite_ab=1)
+    if lower:
+        band[j - i, i] = coo.data[upper]  # A[j, i] = A[i, j]
+    else:
+        band[kd + i - j, j] = coo.data[upper]
+    band, info = lapack.dpbtrf(band, lower=int(lower), overwrite_ab=1)
     if info:
         raise np.linalg.LinAlgError(
             f"extracellular block is not positive definite (dpbtrf info {info})"
         )
-    return _BandedCholesky(order, band)
+    return _BandedCholesky(order, _lower_to_upper_band(band) if lower else band)
 
 
 @dataclass(frozen=True)
@@ -653,17 +692,21 @@ class AmgHierarchy:
 
 
 def _strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
+    """|a_ij| at the strong off-diagonal entries, ``|a_ij| >= theta sqrt(a_ii a_jj)``
+    with ``a_ii a_jj > 0``, in CSR.
+
+    A is CSR with sorted indices and no duplicates, so the kept entries are
+    already in row order and sorted within each row.
+    """
+    n = A.shape[0]
     d = A.diagonal()
-    coo = A.tocoo()
-    off = coo.row != coo.col
-    r, c, v = coo.row[off], coo.col[off], coo.data[off]
-    dd = d[r] * d[c]
-    strong = (dd > 0) & (np.abs(v) >= theta * np.sqrt(np.maximum(dd, 0)))
-    S = sp.coo_matrix(
-        (np.abs(v[strong]), (r[strong], c[strong])), shape=A.shape
-    ).tocsr()
-    S.sort_indices()
-    return S
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    cols, v = A.indices, A.data
+    dd = d[rows] * d[cols]
+    strong = (rows != cols) & (dd > 0) & (np.abs(v) >= theta * np.sqrt(np.maximum(dd, 0)))
+    keep = np.flatnonzero(strong)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+    return sp.csr_matrix((np.abs(v[keep]), cols[keep], indptr), shape=A.shape)
 
 
 def _aggregate(S: sp.csr_matrix, A: sp.csr_matrix) -> tuple[np.ndarray, int]:

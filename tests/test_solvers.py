@@ -377,6 +377,42 @@ def test_blockdiag_extracellular_factor_follows_its_bandwidth(model, nh, n_cells
     _assert_backward_stable(prec, np.random.default_rng(37).standard_normal(system.n))
 
 
+def _synthetic_band(kd, n=400):
+    """An SPD matrix whose every entry within kd of the diagonal is stored."""
+    rng = np.random.default_rng(kd)
+    offsets = np.arange(-kd, kd + 1)
+    A = sp.diags([-rng.uniform(0.5, 1.0, n - abs(k)) for k in offsets], offsets)
+    A = (A + A.T).tocsr()
+    A.setdiag(abs(A).sum(axis=1).A1 + 1.0)
+    return A
+
+
+@pytest.mark.parametrize(
+    "case,kd",
+    [(("B", 64, 576), 19), (("B", 128, 16), 35), (("A", 32, 25), 31), (("A", 64, 441), 65),
+     (64, 64), (65, 65)],
+    ids=["B-64-576", "B-128-16", "A-32-25", "A-64-441", "synthetic-64", "synthetic-65"],
+)
+def test_extracellular_band_is_the_upper_storage_cholesky(case, kd):
+    """The banded factor is bitwise scipy's upper-storage Cholesky of the block
+    in reverse Cuthill-McKee order, on both sides of BAND_LOWER_MAX (64): up to
+    it the band is factored in lower storage and copied, above it in upper
+    storage.  An int case is a synthetic band of that half-bandwidth."""
+    if isinstance(case, int):
+        A = _synthetic_band(case)
+    else:
+        model, nh, n_cells = case
+        ops = _emi_case(nh, n_cells, model=model)[1]
+        A = blockdiag_prec(ops, eps=1e-4).matrix[: ops.dofmap.n0, : ops.dofmap.n0]
+    assert solvers.BAND_LOWER_MAX == 64
+    order, band = _rcm_band(A)
+    assert band.shape[0] - 1 == kd
+    factor = solvers._extracellular_factor(A)
+    assert np.array_equal(factor.order, order)
+    assert factor.band.flags.f_contiguous
+    assert np.array_equal(factor.band, la.cholesky_banded(band))
+
+
 @pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("B", 64, 576)])
 def test_blockdiag_banded_factor_reads_back_like_superlu(model, nh, n_cells):
     """The banded factor's L, U, perm_r and perm_c satisfy SuperLU's
@@ -971,10 +1007,30 @@ def test_ilu0_non_finite_entry_rejected(bad):
         ilu0_factor(A.tocsr())
 
 
+def _ref_strength_graph(A, theta):
+    """The strength graph through a COO round trip: the oracle of the CSR construction."""
+    d = A.diagonal()
+    coo = A.tocoo()
+    off = coo.row != coo.col
+    r, c, v = coo.row[off], coo.col[off], coo.data[off]
+    dd = d[r] * d[c]
+    strong = (dd > 0) & (np.abs(v) >= theta * np.sqrt(np.maximum(dd, 0)))
+    S = sp.coo_matrix((np.abs(v[strong]), (r[strong], c[strong])), shape=A.shape).tocsr()
+    S.sort_indices()
+    return S
+
+
+def _assert_same_csr(got, want):
+    for attr in ("data", "indices", "indptr"):
+        x, y = getattr(got, attr), getattr(want, attr)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
 def test_aggregate_matches_reference(name):
     A = _sorted_csr(ORACLE_MATRICES[name]())
     S = _strength_graph(A, theta=0.08)
+    _assert_same_csr(S, _ref_strength_graph(A, theta=0.08))
     agg, n_agg = _aggregate(S, A)
     ref_agg, ref_n_agg = _ref_aggregate(S, A)
     assert np.array_equal(agg, ref_agg)
@@ -982,6 +1038,27 @@ def test_aggregate_matches_reference(name):
     if name == "isolated-row":
         assert np.diff(S.indptr)[7] == 0
         assert np.count_nonzero(agg == agg[7]) == 1
+
+
+@pytest.mark.parametrize("model,nh,cells,tau", [("A", 64, 441, 1e-2), ("A", 64, 441, 1e-5),
+                                                ("B", 64, 144, 1e-2), ("B", 64, 576, 1e-2),
+                                                ("B", 128, 16, 1e-2)])
+def test_strength_graph_matches_coo_reference_on_bench_hierarchies(monkeypatch, model, nh,
+                                                                    cells, tau):
+    """Every level of the benchmark cases' AMG hierarchies (the interface
+    basis's covered first level included) gets the COO oracle's graph bitwise."""
+    seen = []
+
+    def checked(A, theta):
+        S = _strength_graph(A, theta)
+        _assert_same_csr(S, _ref_strength_graph(A, theta))
+        seen.append(A.shape[0])
+        return S
+
+    monkeypatch.setattr(solvers, "_strength_graph", checked)
+    prec = harness._build_preconditioner(harness.build_case(model, nh, cells, tau), "amg", 1e-4)
+    assert len(seen) == len(prec.hierarchy.levels) >= 2
+    assert seen[1:] == prec.hierarchy.sizes[1:-1]
 
 
 def test_aggregate_attaches_a_row_without_strong_neighbours():
@@ -1185,13 +1262,14 @@ _THREAD_CASES = [
 ]
 
 
-def _histories_with_threads(threads: int) -> dict:
+def _probe_with_threads(probe: str, cases: list, threads: int) -> dict:
+    """Run ``probe`` on ``cases`` in a fresh interpreter with ``threads`` OpenBLAS threads."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     src = str(Path(solvers.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = str(threads)
     done = subprocess.run(
-        [sys.executable, "-c", _THREAD_PROBE, json.dumps(_THREAD_CASES)],
+        [sys.executable, "-c", probe, json.dumps(cases)],
         env=env, capture_output=True, text=True, timeout=600, check=True,
     )
     return json.loads(done.stdout)
@@ -1202,9 +1280,43 @@ def _histories_with_threads(threads: int) -> dict:
 )
 def test_residual_histories_do_not_depend_on_blas_threads():
     """Every solver's CG steps (20 at most) are the same bits under 1 and 2 BLAS threads."""
-    one, two = _histories_with_threads(1), _histories_with_threads(2)
+    one, two = (_probe_with_threads(_THREAD_PROBE, _THREAD_CASES, t) for t in (1, 2))
     assert sorted(one) == sorted(two)
     assert len(one) == 5
     for key in one:
         assert len(one[key]) >= 10, key
         assert one[key] == two[key], key
+
+
+# Builds each case, lets the BLAS pools fall asleep, then reads the process
+# CPU time over the wall time of the block-diagonal set-up and a 0.1 s
+# busy-wait after it: a BLAS pool left spinning adds a second core's worth.
+_SETUP_PROBE = """
+import json, sys, time
+from emilab import harness
+from emilab.solvers import blockdiag_prec
+out = {}
+for model, nh, cells in json.loads(sys.argv[1]):
+    case = harness.build_case(model, nh, cells, 1e-2)
+    time.sleep(1.0)
+    cpu, wall = time.process_time(), time.perf_counter()
+    blockdiag_prec(case.operators, 1e-4)
+    end = time.perf_counter() + 0.1
+    while time.perf_counter() < end:
+        pass
+    out[f"{model}/{nh}/{cells}"] = (time.process_time() - cpu) / (time.perf_counter() - wall)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs for a two-thread BLAS"
+)
+def test_blockdiag_setup_leaves_no_blas_thread_spinning():
+    """The banded factors of B/64/576 (kd 19) and B/128/16 (kd 35) run on the
+    calling thread under 2 OpenBLAS threads: process CPU stays near the wall
+    time (an upper-storage dpbtrf read about 2.0 on a 2-core host)."""
+    ratios = _probe_with_threads(_SETUP_PROBE, [("B", 64, 576), ("B", 128, 16)], 2)
+    assert len(ratios) == 2
+    for key, ratio in ratios.items():
+        assert ratio <= 1.3, (key, ratio)
