@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: mesh, assemble, solve, spectra, table.  Exit codes: 0 success,
-2 configuration/geometry error, 3 solver failure (for spectra: a check that
-recorded an error).
+2 configuration/geometry error (a file that cannot be read or written
+included), 3 solver failure (for spectra: a check that recorded an error).
 """
 
 from __future__ import annotations
@@ -93,6 +93,13 @@ def _cmd_solve(args) -> int:
             if args.import_rhs
             else np.ones(A.shape[0])
         )
+        # CG needs a square matrix, a matching rhs and finite numbers
+        if A.shape[0] != A.shape[1]:
+            raise ConfigError(f"imported matrix is {A.shape[0]} x {A.shape[1]}, not square")
+        if rhs.shape != (A.shape[0],):
+            raise ConfigError(f"imported rhs has {rhs.size} entries for {A.shape[0]} rows")
+        if not (np.isfinite(A.data).all() and np.isfinite(rhs).all()):
+            raise ConfigError("imported system has a non-finite matrix or rhs entry")
         cfg = SolverConfig(tol=spec.tol, maxiter=spec.maxiter)
         _, report = cg_solve(A, rhs, cfg)
         seconds = report.wall_time
@@ -195,7 +202,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, GeometryError, ValueError) as exc:
+    except (ConfigError, GeometryError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

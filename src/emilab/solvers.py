@@ -4,8 +4,8 @@ Every preconditioner is a callable ``z = M(r)`` whose action is linear and
 symmetric, as required for CG.  The block-diagonal preconditioner is
 factored once: the extracellular block gets a banded Cholesky factor in
 reverse Cuthill-McKee order when its half-bandwidth there is at most
-``BAND_MAX`` (factored in lower band storage up to ``BAND_LOWER_MAX`` and
-applied from upper storage), and a SuperLU factor otherwise; each distinct
+``BAND_MAX`` (factored in lower band storage and applied from upper
+storage), and a SuperLU factor otherwise; each distinct
 cell block (cells are grouped by bitwise identity) gets one factor, a dense
 inverse Cholesky factor up to ``DENSE_BLOCK_MAX`` dofs and a SuperLU factor above,
 shared by all the cells of its group.  A group's dense factor is applied to
@@ -22,9 +22,9 @@ preconditioner applies use sparse products, SuperLU solves of at most
 ``CELL_RHS_ENTRIES`` right-hand-side entries, LAPACK's banded solve and small
 dense products.  Residual histories and iteration counts are
 therefore the same bits under any BLAS thread count.  The block-diagonal
-set-up stays on the calling thread too up to ``BAND_LOWER_MAX``, so no
-OpenBLAS thread is left spinning through the CG loop after it; a wider band
-still wakes scipy's pool.
+set-up stays on the calling thread too for an extracellular band of
+half-bandwidth up to 64, so no OpenBLAS thread is left spinning through the
+CG loop after it; a band of kd 65 to ``BAND_MAX`` still wakes scipy's pool.
 """
 
 from __future__ import annotations
@@ -387,14 +387,6 @@ DENSE_BLOCK_MAX = 64  # distinct cell blocks up to this many dofs are factored d
 # 4 x 9409 did; 16 x 2401 and 8 x 9409 woke OpenBLAS's pool)
 CELL_RHS_ENTRIES = 10_000
 BAND_MAX = 100  # extracellular half-bandwidths (RCM order) up to this are factored banded
-# half-bandwidths up to this are factored in lower band storage: there
-# OpenBLAS's dpbtrf stayed on the calling thread (2-core host, 2 threads:
-# 0.5 against 2.7 ms at kd 19 and 2.1 against 15 ms at kd 35, upper storage
-# leaving the pool spinning), and its factor, copied to upper storage, was
-# bitwise the upper-storage one (kd 7-64).  From kd 65 both storages woke the
-# pool and the two factors differed in the last bits (A/64/441 blockdiag
-# 63 -> 64 iterations), so the wider bands keep the upper-storage call.
-BAND_LOWER_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -403,9 +395,12 @@ class _BandedCholesky:
 
     ``U^T U = A[order][:, order]``.  ``band`` holds U in LAPACK's upper band
     storage, ``band[kd + i - j, j] = U[i, j]``, in Fortran order, so that
-    ``dpbtrs`` reads it in place.  ``L``, ``U``, ``perm_r`` and ``perm_c``
-    are computed when read and follow SuperLU's convention ``Pr A Pc = L U``
-    with ``L = U^T``; every position of the band is a stored entry.
+    ``dpbtrs`` reads it in place.  It is the lower-storage factor ``L = U^T``,
+    copied (see ``_extracellular_factor``).  ``dpbtrs`` stays on the calling
+    thread at any kd; the factorization does so up to kd 64.  ``L``, ``U``,
+    ``perm_r`` and ``perm_c`` are computed when read and follow SuperLU's
+    convention ``Pr A Pc = L U`` with ``L = U^T``; every position of the band
+    is a stored entry.
     """
 
     order: np.ndarray
@@ -451,21 +446,15 @@ class _BandedCholesky:
 def _lower_to_upper_band(low: np.ndarray) -> np.ndarray:
     """The band of ``U = L^T`` in upper storage, from L's lower band storage.
 
-    ``low[d, c] = L[c + d, c]`` goes to ``U[c, c + d]``, that is to
-    ``up[kd - d, c + d]``: in Fortran order that is the flat position
-    ``kd + c (kd + 1) + d kd``, so one strided view of the upper buffer takes
-    the whole lower band in one copy.  The buffer has kd spare columns for the
-    unused tail of the lower band (``c + d >= n``); the result is a view of
-    its first n columns, which stay Fortran-contiguous.
+    ``low[d, c] = L[c + d, c]`` is ``U[c, c + d]``, stored at
+    ``up[kd - d, c + d]``: one copy per diagonal into a fresh Fortran-ordered
+    array, which ``dpbtrs`` reads in place.  The unused corner stays zero.
     """
     kd, n = low.shape[0] - 1, low.shape[1]
-    buf = np.zeros((kd + 1) * (n + kd))
-    step = buf.itemsize
-    view = np.lib.stride_tricks.as_strided(
-        buf[kd:], shape=(kd + 1, n), strides=(kd * step, (kd + 1) * step)
-    )
-    view[...] = low
-    return buf.reshape((kd + 1, n + kd), order="F")[:, :n]
+    up = np.zeros((kd + 1, n), order="F")
+    for d in range(kd + 1):
+        up[kd - d, d:] = low[d, : n - d]
+    return up
 
 
 def _extracellular_factor(A: sp.csr_matrix):
@@ -475,11 +464,11 @@ def _extracellular_factor(A: sp.csr_matrix):
     is at most ``BAND_MAX``, LAPACK's banded Cholesky (``dpbtrf``) factors
     it; otherwise SuperLU factors A with diagonal pivots in the minimum-degree
     order of A + A^T, which holds about 60% of COLAMD's fill on these
-    blocks.  Up to ``BAND_LOWER_MAX`` the band is factored in lower storage,
-    which keeps OpenBLAS on the calling thread, and copied into the upper
-    storage that ``dpbtrs`` reads; the copy is bitwise the upper-storage
-    factor there.  A wider band is factored in upper storage.  A block that
-    is not positive definite raises ``np.linalg.LinAlgError``.
+    blocks.  The band is factored in lower storage and copied into the upper
+    storage that ``dpbtrs`` reads.  Lower storage keeps OpenBLAS's ``dpbtrf``
+    on the calling thread up to kd 64, where upper storage woke its pool and
+    gave the same bits; from kd 65 either storage wakes the pool.  A block
+    that is not positive definite raises ``np.linalg.LinAlgError``.
     """
     # intp, so that numpy does not cast the order on every gather and scatter
     order = reverse_cuthill_mckee(A, symmetric_mode=True).astype(np.intp)
@@ -495,18 +484,14 @@ def _extracellular_factor(A: sp.csr_matrix):
             A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
-    lower = kd <= BAND_LOWER_MAX
     band = np.zeros((kd + 1, A.shape[0]), order="F")
-    if lower:
-        band[j - i, i] = coo.data[upper]  # A[j, i] = A[i, j]
-    else:
-        band[kd + i - j, j] = coo.data[upper]
-    band, info = lapack.dpbtrf(band, lower=int(lower), overwrite_ab=1)
+    band[j - i, i] = coo.data[upper]  # A[j, i] = A[i, j]
+    band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
     if info:
         raise np.linalg.LinAlgError(
             f"extracellular block is not positive definite (dpbtrf info {info})"
         )
-    return _BandedCholesky(order, _lower_to_upper_band(band) if lower else band)
+    return _BandedCholesky(order, _lower_to_upper_band(band))
 
 
 @dataclass(frozen=True)
@@ -630,17 +615,18 @@ def blockdiag_prec(operators, eps: float | None = None) -> BlockDiagPrecondition
 
     The extracellular block is ordered by reverse Cuthill-McKee; if its
     half-bandwidth there is at most ``BAND_MAX``, LAPACK's banded Cholesky
-    factors it, and SuperLU otherwise.  The bound sits below the measured
-    crossover of the two solves: the banded one was 1.4-3.5x faster up to
-    kd 91, level at kd 127, and 2.7x slower at kd 211, where the band
-    holds 4.5x SuperLU's fill.  The cell blocks are grouped by
-    bitwise identity (in the paper's geometries every cell is a translate of
-    one, so there is one group) and each distinct block is factored once.  A
-    block of at most ``DENSE_BLOCK_MAX`` dofs is applied through its dense
-    inverse Cholesky factor W, to all its cells at once as two matrix
-    products ``(R W^T) W`` over the slab R with one cell per row.  The factor
-    is L_i^{-1}, not P_i^{-1}: a cell block's condition number is about 5e8,
-    and an explicit P_i^{-1} raised the CG counts by 7-11%.  A larger block
+    factors it, and SuperLU (minimum-degree order) otherwise.  The bound sits
+    near the measured crossover of the two solves: under 1 and 2 OpenBLAS
+    threads the banded solve took 0.72-0.80 of SuperLU's time at kd 65
+    (A/64/441), 0.54-0.55 at kd 67 (B/256/16), 0.81-1.04 at kd 91
+    (A/128/25) and 1.14-1.20 at kd 127 (A/128/441).  The cell blocks are
+    grouped by bitwise identity (in the paper's geometries every cell is a
+    translate of one, so there is one group) and each distinct block is
+    factored once.  A block of at most ``DENSE_BLOCK_MAX`` dofs is applied
+    through its dense inverse Cholesky factor W, to all its cells at once as
+    two matrix products ``(R W^T) W`` over the slab R with one cell per row.
+    The factor is L_i^{-1}, not P_i^{-1}: a cell block's condition number is
+    about 5e8, and an explicit P_i^{-1} raised the CG counts by 7-11%.  A larger block
     gets one SuperLU factor, which solves ``CELL_RHS_ENTRIES // size`` of its
     cells per call as the columns of one right-hand side: at B/128/16 that is
     one solve of 16 cells instead of 16 solves.  A multi-column solve rounds

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from emilab import cli, harness, spectral
 from emilab.cli import main
@@ -18,7 +19,9 @@ from emilab.harness import (
     run_spectral_suite,
     run_table,
 )
-from emilab.io import CSV_HEADER, read_matrix_market, read_vector, write_matrix_market
+from emilab.io import (
+    CSV_HEADER, read_matrix_market, read_vector, write_matrix_market, write_vector,
+)
 from emilab.meshgen import (
     GeometryError,
     build_dofmap,
@@ -583,6 +586,68 @@ def test_cli_solve_imported_system_rejects_preconditioner(tmp_path, capsys):
     assert code == 2
     assert "plain cg" in capsys.readouterr().err
     assert not csv.exists()
+
+
+def _tridiagonal(n=5):
+    return sp.diags([-np.ones(n - 1), 4 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+
+
+def _with_entry(value):
+    A = _tridiagonal().tolil()
+    A[2, 2] = value
+    return A.tocsr()
+
+
+# an imported matrix and rhs (None: the default ones) that CG cannot take
+_BAD_IMPORTS = {
+    "non-square": (sp.csr_matrix(np.ones((5, 4))), None),
+    "nan-entry": (_with_entry(np.nan), None),
+    "inf-entry": (_with_entry(np.inf), None),
+    "nan-rhs": (_tridiagonal(), np.array([1.0, 1.0, np.nan, 1.0, 1.0])),
+    "inf-rhs": (_tridiagonal(), np.array([1.0, -np.inf, 1.0, 1.0, 1.0])),
+    "short-rhs": (_tridiagonal(), np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_IMPORTS))
+def test_cli_solve_rejects_bad_imported_system(tmp_path, capsys, name):
+    """An imported system CG cannot solve exits 2 before CG and writes no CSV row."""
+    A, rhs = _BAD_IMPORTS[name]
+    mm = tmp_path / "system.mtx"
+    csv = tmp_path / "runs.csv"
+    write_matrix_market(A, mm)
+    argv = ["solve", "--import-mm", str(mm), "--csv", str(csv)]
+    if rhs is not None:
+        write_vector(tmp_path / "rhs.txt", rhs)
+        argv += ["--import-rhs", str(tmp_path / "rhs.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: imported ")
+    assert not csv.exists()
+
+
+# a file the subcommand cannot read or write
+_FILE_ERRORS = {
+    "missing-config": ["table", "--config", "{tmp}/none.cfg"],
+    "missing-mtx": ["solve", "--import-mm", "{tmp}/none.mtx"],
+    "missing-rhs": ["solve", "--import-mm", "{mm}", "--import-rhs", "{tmp}/none.txt"],
+    "mesh-out": ["mesh", "--nh", "8", "--cells", "1", "--out", "{tmp}/none/mesh.txt"],
+    "export-mm": ["assemble", "--nh", "8", "--cells", "1", "--export-mm", "{tmp}/none/s.mtx"],
+    "solve-csv": ["solve", "--import-mm", "{mm}", "--csv", "{tmp}/none/runs.csv"],
+    "table-csv": ["table", "--nh", "8", "--cells", "1", "--solver", "geometry",
+                  "--csv", "{tmp}/none/table.csv"],
+    "outdir-is-a-file": ["table", "--nh", "8", "--cells", "1", "--solver", "geometry",
+                         "--outdir", "{mm}"],
+}
+
+
+@pytest.mark.parametrize("name", list(_FILE_ERRORS))
+def test_cli_file_system_error_exit_code(tmp_path, capsys, name):
+    """A missing input file or an unwritable output path is a configuration error."""
+    mm = tmp_path / "system.mtx"
+    write_matrix_market(_tridiagonal(), mm)
+    argv = [arg.format(tmp=tmp_path, mm=mm) for arg in _FILE_ERRORS[name]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 _IGNORED_FLAG_RUNS = {

@@ -342,22 +342,39 @@ def test_blockdiag_split_path_symmetric_positive():
     _assert_symmetric_positive(prec, system.n, rng)
 
 
+def _band(B, kd, lower=False):
+    """LAPACK's band storage of B's lower or upper triangle within kd of the diagonal."""
+    band = np.zeros((kd + 1, B.shape[0]))
+    for k in range(kd + 1):
+        if lower:
+            band[k, : B.shape[0] - k] = B.diagonal(-k)
+        else:
+            band[kd - k, k:] = B.diagonal(k)
+    return band
+
+
 def _rcm_band(A):
     """Reverse Cuthill-McKee order of A and its upper band storage in that order."""
     order = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
     B = A[order][:, order]
     upper = sp.triu(B).tocoo()
-    kd = int((upper.col - upper.row).max())
-    band = np.zeros((kd + 1, B.shape[0]))
-    for k in range(kd + 1):
-        band[kd - k, k:] = B.diagonal(k)
-    return order, band
+    return order, _band(B, int((upper.col - upper.row).max()))
+
+
+def _rcm_cholesky_band(A):
+    """Reverse Cuthill-McKee order of A and, in upper band storage, ``U = L^T``
+    for scipy's lower-storage banded Cholesky factor L of A in that order."""
+    order, band = _rcm_band(A)
+    kd, n = band.shape[0] - 1, band.shape[1]
+    L = la.cholesky_banded(_band(A[order][:, order], kd, lower=True), lower=True)
+    U = sp.diags([L[k, : n - k] for k in range(kd + 1)], list(range(kd + 1)))
+    return order, _band(U, kd)
 
 
 def _rcm_banded_solve(A, b):
-    order, band = _rcm_band(A)
+    order, band = _rcm_cholesky_band(A)
     z = np.empty_like(b)
-    z[order] = la.cho_solve_banded((la.cholesky_banded(band), False), b[order])
+    z[order] = la.cho_solve_banded((band, False), b[order])
     return z
 
 
@@ -390,27 +407,30 @@ def _synthetic_band(kd, n=400):
 @pytest.mark.parametrize(
     "case,kd",
     [(("B", 64, 576), 19), (("B", 128, 16), 35), (("A", 32, 25), 31), (("A", 64, 441), 65),
-     (64, 64), (65, 65)],
-    ids=["B-64-576", "B-128-16", "A-32-25", "A-64-441", "synthetic-64", "synthetic-65"],
+     (64, 64), (65, 65), (100, 100)],
+    ids=["B-64-576", "B-128-16", "A-32-25", "A-64-441", "synthetic-64", "synthetic-65",
+         "synthetic-100"],
 )
 def test_extracellular_band_is_the_upper_storage_cholesky(case, kd):
-    """The banded factor is bitwise scipy's upper-storage Cholesky of the block
-    in reverse Cuthill-McKee order, on both sides of BAND_LOWER_MAX (64): up to
-    it the band is factored in lower storage and copied, above it in upper
-    storage.  An int case is a synthetic band of that half-bandwidth."""
+    """The banded factor, held in upper band storage, is bitwise scipy's
+    lower-storage Cholesky of the block in reverse Cuthill-McKee order,
+    copied to upper storage, up to BAND_MAX (100).  Up to kd 64 that is also
+    bitwise scipy's upper-storage Cholesky; from kd 65 the two storages round
+    differently.  An int case is a synthetic band of that half-bandwidth."""
     if isinstance(case, int):
         A = _synthetic_band(case)
     else:
         model, nh, n_cells = case
         ops = _emi_case(nh, n_cells, model=model)[1]
         A = blockdiag_prec(ops, eps=1e-4).matrix[: ops.dofmap.n0, : ops.dofmap.n0]
-    assert solvers.BAND_LOWER_MAX == 64
     order, band = _rcm_band(A)
-    assert band.shape[0] - 1 == kd
+    assert band.shape[0] - 1 == kd <= BAND_MAX
     factor = solvers._extracellular_factor(A)
     assert np.array_equal(factor.order, order)
     assert factor.band.flags.f_contiguous
-    assert np.array_equal(factor.band, la.cholesky_banded(band))
+    assert np.array_equal(factor.band, _rcm_cholesky_band(A)[1])
+    if kd <= 64:
+        assert np.array_equal(factor.band, la.cholesky_banded(band))
 
 
 @pytest.mark.parametrize("model,nh,n_cells", [("A", 16, 1), ("B", 64, 576)])
@@ -459,8 +479,9 @@ def test_blockdiag_large_cells_match_whole_matrix_factor(model, nh, n_cells):
     fresh SuperLU factor of one member's block, and within 16 u of the largest
     entry of one SuperLU factor of the whole matrix (2.4 u measured at
     B/128/16, where a multi-column solve rounds differently); the
-    extracellular rows are bitwise scipy's banded Cholesky solve of the block
-    in reverse Cuthill-McKee order.  The action keeps the normwise
+    extracellular rows are bitwise scipy's banded solve with the lower-storage
+    Cholesky factor of the block in reverse Cuthill-McKee order, copied to
+    upper storage.  The action keeps the normwise
     backward-error bound of the split path."""
     system, ops = _emi_case(nh, n_cells, model=model)
     assert ops.dofmap.block_sizes[1:].min() > DENSE_BLOCK_MAX
@@ -1255,10 +1276,11 @@ print(json.dumps(out))
 """
 # n = 67,984 on B/256/16: CG's reductions are above OpenBLAS's threading
 # cut-off, and blockdiag solves its 16 cells of 2401 dofs 4 at a time; the
-# AMG coarse grids of both cases are 162 and 146 rows
+# AMG coarse grids of both cases are 162 and 146 rows; the extracellular
+# bands of both cases (kd 67 and 65) are factored on OpenBLAS's pool
 _THREAD_CASES = [
     ("B", 256, 16, 1e-2, ["cg", "ilu", "blockdiag", "amg"]),
-    ("A", 64, 441, 1e-2, ["amg"]),
+    ("A", 64, 441, 1e-2, ["amg", "blockdiag"]),
 ]
 
 
@@ -1282,7 +1304,7 @@ def test_residual_histories_do_not_depend_on_blas_threads():
     """Every solver's CG steps (20 at most) are the same bits under 1 and 2 BLAS threads."""
     one, two = (_probe_with_threads(_THREAD_PROBE, _THREAD_CASES, t) for t in (1, 2))
     assert sorted(one) == sorted(two)
-    assert len(one) == 5
+    assert len(one) == 6
     for key in one:
         assert len(one[key]) >= 10, key
         assert one[key] == two[key], key
