@@ -10,6 +10,13 @@ mass pairing the two traces) off the diagonal, and the membrane source
 vector with the pieces ``f_i``.  Block i spans the dofs
 ``block_start[i]:block_start[i+1]``; ``DofMap.block`` slices one out.
 
+The matrices are sums of triangle or membrane-edge pieces through one
+scatter.  The element matrices are constants that rely on the uniform
+tessellation of ``build_mesh``: every square holds the same two right
+triangles, and nh is a power of two, so the vertex coordinates are exact
+dyadic numbers, the edge vectors exactly 0 or +-h and the area exactly
+h^2/2.  The constants are the bits a per-element computation gives.
+
 All quadrature is exact for the P1 integrands; the oscillating source is
 integrated with 2-point Gauss per membrane edge (degree-3 exactness).
 """
@@ -38,6 +45,18 @@ __all__ = [
 
 # 2-point Gauss on the unit interval
 _GAUSS_T = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+
+# (b b^T + c c^T) / (4 area) of the triangle below the diagonal, (sw, se, ne),
+# and of the one above it, (sw, ne, nw): the even and odd rows of
+# ``mesh.triangles``
+_REF_STIFFNESS = np.array(
+    [
+        [[0.5, -0.5, 0.0], [-0.5, 1.0, -0.5], [0.0, -0.5, 0.5]],
+        [[0.5, 0.0, -0.5], [0.0, 0.5, -0.5], [-0.5, -0.5, 1.0]],
+    ]
+)
+# P1 mass of a triangle of unit area
+_REF_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
 class AssemblyError(ValueError):
@@ -107,15 +126,6 @@ class OperatorSet:
     model: str
 
 
-def _element_geometry(mesh: StructuredMesh):
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    return b, c, area
-
-
 def _element_dofs(mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: DofMap):
     """Global dofs of every triangle's vertices in its own subdomain."""
     counts = np.bincount(labeling.cell_of, minlength=labeling.n_subdomains)
@@ -125,13 +135,21 @@ def _element_dofs(mesh: StructuredMesh, labeling: SubdomainLabeling, dofmap: Dof
     return dofmap.global_dofs(labeling.cell_of[:, None], mesh.triangles)
 
 
-def _scatter(dofs: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
-    # COO to CSR keeps the element order inside each row, and every row
-    # collects the elements of one subdomain only, so each entry is summed
+def _scatter(rows: np.ndarray, cols: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum of k x k pieces: piece e adds ``local`` at (rows[e], cols[e]).
+
+    ``rows`` and ``cols`` hold k dofs per piece.  ``local`` is one k x k
+    matrix or a stack of them that repeats over the pieces in turn.
+    """
+    # COO to CSR keeps the piece order inside each row, and every row
+    # collects the pieces of one subdomain only, so each entry is summed
     # in the same order as by a per-subdomain assembly
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    m, k = rows.shape
+    local = np.reshape(local, (-1, k, k))
+    vals = np.broadcast_to(local, (m // len(local), *local.shape)).ravel()
+    r = np.repeat(rows, k, axis=1).ravel()
+    c = np.tile(cols, (1, k)).ravel()
+    return sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
 
 
 def assemble_stiffness(
@@ -143,11 +161,7 @@ def assemble_stiffness(
     Laplacian {4, -1, -1, -1, -1}; the h factors cancel in 2D.
     """
     dofs = _element_dofs(mesh, labeling, dofmap)
-    b, c, area = _element_geometry(mesh)
-    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        4.0 * area
-    )[:, None, None]
-    return _scatter(dofs, local, dofmap.n)
+    return _scatter(dofs, dofs, _REF_STIFFNESS, dofmap.n)
 
 
 def assemble_bulk_mass(
@@ -155,10 +169,7 @@ def assemble_bulk_mass(
 ) -> sp.csr_matrix:
     """Consistent P1 mass over every subdomain bulk (SPD, row sums = areas/3)."""
     dofs = _element_dofs(mesh, labeling, dofmap)
-    _, _, area = _element_geometry(mesh)
-    pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = area[:, None, None] * pattern[None, :, :]
-    return _scatter(dofs, local, dofmap.n)
+    return _scatter(dofs, dofs, 0.5 * mesh.h * mesh.h * _REF_MASS, dofmap.n)
 
 
 def _edge_dofs(labeling: SubdomainLabeling, dofmap: DofMap):
@@ -168,18 +179,8 @@ def _edge_dofs(labeling: SubdomainLabeling, dofmap: DofMap):
     return dofmap.global_dofs(me[:, 2:3], ends), dofmap.global_dofs(me[:, 3:4], ends)
 
 
-def _edge_pairs(rows: np.ndarray, cols: np.ndarray, h: float, n: int) -> sp.csr_matrix:
-    """Sum of the edge masses [[h/3, h/6], [h/6, h/3]] pairing rows with cols.
-
-    ``rows`` and ``cols`` hold one (v0, v1) dof pair per edge.
-    """
-    m = len(rows)
-    r = np.concatenate([rows[:, 0], rows[:, 1], rows[:, 0], rows[:, 1]])
-    c = np.concatenate([cols[:, 0], cols[:, 1], cols[:, 1], cols[:, 0]])
-    vals = np.concatenate(
-        [np.full(m, h / 3), np.full(m, h / 3), np.full(m, h / 6), np.full(m, h / 6)]
-    )
-    return sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
+def _edge_mass(h: float) -> np.ndarray:
+    return np.array([[h / 3, h / 6], [h / 6, h / 3]])  # one edge of length h
 
 
 def assemble_membrane_mass(
@@ -190,9 +191,8 @@ def assemble_membrane_mass(
     Each edge of length h contributes [[h/3, h/6], [h/6, h/3]] to both
     incident subdomains; rows of dofs off the membranes are empty.
     """
-    lo, hi = _edge_dofs(labeling, dofmap)
-    both = np.concatenate([lo, hi])
-    return _edge_pairs(both, both, mesh.h, dofmap.n)
+    both = np.concatenate(_edge_dofs(labeling, dofmap))
+    return _scatter(both, both, _edge_mass(mesh.h), dofmap.n)
 
 
 def assemble_coupling(
@@ -204,9 +204,8 @@ def assemble_coupling(
     transpose (j, i), so the matrix is symmetric and nonpositive.
     """
     lo, hi = _edge_dofs(labeling, dofmap)
-    out = _edge_pairs(np.concatenate([lo, hi]), np.concatenate([hi, lo]), mesh.h, dofmap.n)
-    out.data *= -1.0
-    return out
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    return _scatter(rows, cols, -_edge_mass(mesh.h), dofmap.n)
 
 
 def assemble_rhs(
@@ -223,7 +222,6 @@ def assemble_rhs(
     values.
     """
     me = labeling.membrane_edges
-    fvec = np.zeros(dofmap.n)
     h = mesh.h
     p0 = mesh.vertices[me[:, 0]]
     p1 = mesh.vertices[me[:, 1]]
@@ -234,10 +232,10 @@ def assemble_rhs(
         g = default_stimulus(q[:, 0], q[:, 1]) * (1.0 - config.tau)
         w0 += 0.5 * h * g * (1.0 - t)
         w1 += 0.5 * h * g * t
-    for side, sign in zip(_edge_dofs(labeling, dofmap), (-1.0, 1.0)):
-        np.add.at(fvec, side[:, 0], sign * w0)
-        np.add.at(fvec, side[:, 1], sign * w1)
-    return fvec
+    # bincount sums each dof's entries in array order, so this order fixes the bits
+    lo, hi = _edge_dofs(labeling, dofmap)
+    dofs = np.concatenate([lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1]])
+    return np.bincount(dofs, np.concatenate([-w0, -w1, w0, w1]), minlength=dofmap.n)
 
 
 def assemble_operators(

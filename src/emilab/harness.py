@@ -198,6 +198,14 @@ def _build_operators(model: str, nh: int, n_cells: int, tau: float, eps: float) 
 
 
 def build_case(model: str, nh: int, n_cells: int, tau: float, eps: float = 1e-4) -> Case:
+    """Mesh, label, number and assemble one problem, then pin its nullspace.
+
+    ``model`` is "A" or "B", with ``n_cells`` cells on a mesh of ``nh``
+    squares per side; ``tau`` is the membrane time constant and ``eps`` the
+    bulk-mass weight of the block-diagonal preconditioner.  Raises
+    ``GeometryError`` for an unknown model or a (model, nh, N) triple that
+    ``meshgen.check_compatible`` rejects.
+    """
     operators = _build_operators(model, nh, n_cells, tau, eps)
     return Case(operators.dofmap, operators, pin_nullspace(build_system(operators)))
 

@@ -113,7 +113,10 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
     Convergence is declared on the true relative residual: once the recursive
     residual passes the tolerance it is verified against b - A x and iteration
     continues (with a residual replacement) if round-off drift left the true
-    residual above it.  Nonpositive or non-finite curvature stops the iteration
+    residual above it.  A replacement whose true residual is not below that of
+    the previous one gains nothing (the tolerance is under the attainable
+    accuracy), so the iteration stops there, not converged and without the
+    breakdown flag.  Nonpositive or non-finite curvature stops the iteration
     with the breakdown flag set, signalling indefiniteness, nullspace
     contamination or non-finite input.  Every inner product and norm goes
     through ``_dot``, so the loop never wakes a BLAS thread pool and its
@@ -137,6 +140,7 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
     p = z.copy()
     rz = _dot(r, z)
     history: list[float] = []
+    replaced_rel = math.inf  # true residual at the last replacement
     it = 0
     while it < config.maxiter:
         it += 1
@@ -158,10 +162,11 @@ def cg_solve(A, b, config: SolverConfig | None = None, M=None, callback=None):
         if rel <= config.tol:
             true_r = b - A @ x
             true_rel = _norm(true_r) / norm_b
-            if true_rel <= config.tol:
+            if true_rel <= config.tol or not true_rel < replaced_rel:
                 return x, SolveReport(
-                    it, true_rel, time.perf_counter() - t0, history, True
+                    it, true_rel, time.perf_counter() - t0, history, true_rel <= config.tol
                 )
+            replaced_rel = true_rel
             r = true_r  # replace drifted recursive residual and keep going
             z = M(r) if M is not None else r
             p = z.copy()

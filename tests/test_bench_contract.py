@@ -4,8 +4,8 @@
 ``emilab.fem``, ``emilab.spectral`` and ``emilab.io`` by name and reads
 fields of the objects they return; a refactor that drops one of them breaks
 ``perfbench/run.py --trace 1`` without failing any other test.  This runs one
-small traced pass and checks the per-layer metric names against
-``BENCHMARK.json``.
+small traced pass, checks that every public assembler was traced, and
+checks the per-layer metric names against ``BENCHMARK.json``.
 """
 
 import json
@@ -55,6 +55,12 @@ def test_traced_pass_yields_benchmark_layer_metrics():
     blockdiag = [s for s in tracer.spans if s.name == "solvers.blockdiag_prec"]
     assert [s.case for s in blockdiag] == ["A/16/1/1e-05", "B/16/4/0.01"]
     assert all(s.counts["lu_nnz"] > 0 for s in blockdiag)
+    # the tracer patches the public assemblers; a refactor that bypasses one drops its span
+    names = {s.name for s in tracer.spans}
+    for attr in ("assemble_stiffness", "assemble_membrane_mass", "assemble_bulk_mass",
+                 "assemble_coupling", "assemble_rhs"):
+        assert "fem." + attr in names, attr
     metrics = tracing.layer_metrics(tracer.spans, seconds)
+    assert metrics["fem.stiffness_s"] > 0 and metrics["fem.bulk_mass_s"] > 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(metrics) | {"bench.trace_overhead"} == {m["name"] for m in declared}

@@ -439,7 +439,8 @@ def _check_against_reference(model, nh, n_cells, config):
 
 @pytest.mark.parametrize("tau", [1e-2, 1e-5])
 @pytest.mark.parametrize(
-    "model,nh,n_cells", [("A", 16, 1), ("A", 32, 25), ("B", 32, 4), ("B", 64, 144)]
+    "model,nh,n_cells",
+    [("A", 16, 1), ("A", 32, 25), ("A", 64, 441), ("B", 32, 4), ("B", 64, 144), ("B", 128, 16)],
 )
 def test_global_assembly_matches_per_block_reference(model, nh, n_cells, tau):
     _check_against_reference(model, nh, n_cells, ProblemConfig(tau=tau))

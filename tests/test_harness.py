@@ -516,6 +516,18 @@ def test_cli_solver_failure_exit_code(capsys):
     assert code == 3
 
 
+def test_cg_stops_when_a_residual_replacement_gains_nothing(capsys):
+    """A tolerance below the attainable accuracy fails fast, not at maxiter."""
+    case = build_case("A", 16, 1, 1e-2)
+    config = SolverConfig(tol=1e-20, maxiter=20000)
+    _, report = cg_solve(case.system.matrix, case.system.rhs, config)
+    assert not report.converged and not report.breakdown
+    assert report.iterations < 1000
+    code = main(["solve", "--model", "A", "--nh", "16", "--cells", "1", "--tol", "1e-20"])
+    assert code == 3
+    assert "[FAILED]" in capsys.readouterr().out
+
+
 def test_cli_assemble_export_roundtrip(tmp_path, capsys):
     mm = tmp_path / "system.mtx"
     code = main(
